@@ -17,8 +17,9 @@
 package raid
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"waflfs/internal/block"
 )
@@ -170,7 +171,7 @@ func BuildTetrises(g Geometry, vbns []block.VBN) []TetrisIO {
 		return nil
 	}
 	sorted := append([]block.VBN(nil), vbns...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 
 	// Group blocks by tetris.
 	type coord struct {
@@ -190,7 +191,7 @@ func BuildTetrises(g Geometry, vbns []block.VBN) []TetrisIO {
 	for id := range byTetris {
 		tetrisIDs = append(tetrisIDs, id)
 	}
-	sort.Slice(tetrisIDs, func(i, j int) bool { return tetrisIDs[i] < tetrisIDs[j] })
+	slices.Sort(tetrisIDs)
 
 	out := make([]TetrisIO, 0, len(tetrisIDs))
 	for _, id := range tetrisIDs {
@@ -222,11 +223,8 @@ func BuildTetrises(g Geometry, vbns []block.VBN) []TetrisIO {
 		io.ParityWriteBlocks = io.StripesTouched * g.ParityDevices
 
 		// Per-device chains: sort by (device, dbn) and split runs.
-		sort.Slice(coords, func(i, j int) bool {
-			if coords[i].device != coords[j].device {
-				return coords[i].device < coords[j].device
-			}
-			return coords[i].dbn < coords[j].dbn
+		slices.SortFunc(coords, func(a, b coord) int {
+			return cmp.Or(cmp.Compare(a.device, b.device), cmp.Compare(a.dbn, b.dbn))
 		})
 		for i := 0; i < len(coords); {
 			j := i + 1

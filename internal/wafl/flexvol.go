@@ -2,6 +2,7 @@ package wafl
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"waflfs/internal/bitmap"
@@ -18,8 +19,8 @@ type FlexVol struct {
 	space *agnosticSpace
 	luns  map[string]*LUN
 	// rc counts references (active image + snapshots) per written pair,
-	// keyed by virtual VBN; see snapshot.go.
-	rc map[block.VBN]int32
+	// indexed by virtual VBN; see snapshot.go.
+	rc refcounts
 }
 
 func newFlexVol(spec VolSpec, tun Tunables, rng *rand.Rand) *FlexVol {
@@ -32,6 +33,7 @@ func newFlexVol(spec VolSpec, tun Tunables, rng *rand.Rand) *FlexVol {
 		bm:    bm,
 		space: newAgnosticSpace(spec.Name, block.R(0, block.VBN(spec.Blocks)), bm, tun, tun.VolCacheEnabled, rng),
 		luns:  make(map[string]*LUN),
+		rc:    newRefcounts(spec.Blocks),
 	}
 	if tun.DelayedVirtFrees {
 		v.space.delayed = newDelayedFrees()
@@ -57,7 +59,12 @@ func (v *FlexVol) CreateLUN(name string, blocks uint64) *LUN {
 	if _, dup := v.luns[name]; dup {
 		panic(fmt.Sprintf("wafl: duplicate LUN %q in %s", name, v.Name))
 	}
-	l := &LUN{Name: name, vol: v, blocks: make([]blockPtr, blocks)}
+	l := &LUN{
+		Name:   name,
+		vol:    v,
+		blocks: make([]blockPtr, blocks),
+		dirty:  make([]uint64, (blocks+63)/64),
+	}
 	for i := range l.blocks {
 		l.blocks[i] = blockPtr{virt: block.InvalidVBN, phys: block.InvalidVBN}
 	}
@@ -85,6 +92,11 @@ type LUN struct {
 	vol    *FlexVol
 	blocks []blockPtr
 	snaps  map[string]*Snapshot
+
+	// dirty is the current CP's dirty set, one bit per logical block;
+	// dirtyN counts the set bits.
+	dirty  []uint64
+	dirtyN int
 }
 
 // Blocks returns the LUN's logical size in blocks.
@@ -107,6 +119,37 @@ func (l *LUN) install(lba uint64, p blockPtr) (old blockPtr, ok bool) {
 	old = l.blocks[lba]
 	l.blocks[lba] = p
 	return old, old.virt != block.InvalidVBN
+}
+
+// markDirty adds [lba, lba+n) to the dirty set and returns how many blocks
+// were not already dirty (overwrites within one CP coalesce).
+func (l *LUN) markDirty(lba uint64, n int) int {
+	added := 0
+	for i := lba; i < lba+uint64(n); i++ {
+		if bit := uint64(1) << (i % 64); l.dirty[i/64]&bit == 0 {
+			l.dirty[i/64] |= bit
+			added++
+		}
+	}
+	l.dirtyN += added
+	return added
+}
+
+// takeDirty appends the dirty LBAs to buf and empties the dirty set.
+// Walking the bitset words in order yields the LBAs ascending, with no
+// hashing and no sort, and clears each word on the way.
+func (l *LUN) takeDirty(buf []uint64) []uint64 {
+	for w, x := range l.dirty {
+		if x == 0 {
+			continue
+		}
+		l.dirty[w] = 0
+		for ; x != 0; x &= x - 1 {
+			buf = append(buf, uint64(w)*64+uint64(bits.TrailingZeros64(x)))
+		}
+	}
+	l.dirtyN = 0
+	return buf
 }
 
 // Metrics returns the volume allocator's measurement counters.

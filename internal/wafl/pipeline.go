@@ -1,14 +1,9 @@
 package wafl
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
-	"waflfs/internal/aa"
-	"waflfs/internal/block"
 	"waflfs/internal/faultinject"
-	"waflfs/internal/obs/optrace"
 	"waflfs/internal/parallel"
 )
 
@@ -33,17 +28,6 @@ import (
 // generation stays in flight until the next boundary — callers reading
 // artifacts (snapshots, refcount checks, benches) must Drain() first.
 
-// pipeCand is a pending write-trace candidate carried from a generation's
-// alloc phase to its flush — the pipelined analogue of CP()'s writeCand.
-type pipeCand struct {
-	id, seq      uint64
-	sampled      bool
-	stalls0      uint64
-	replenishes0 uint64
-	stallBusy0   time.Duration
-	refillBusy0  time.Duration
-}
-
 // pipeGen is the metadata of a sealed generation, captured at seal so its
 // flush can attribute latency and traces to the CP the writes belong to.
 type pipeGen struct {
@@ -51,7 +35,7 @@ type pipeGen struct {
 	ord         uint64
 	volBlocks   map[*FlexVol]uint64
 	totalBlocks uint64
-	cands       map[*FlexVol]*pipeCand
+	cands       map[*FlexVol]*writeCand
 	// allocScan/allocCache are the CPU charges of the generation's alloc
 	// phase, carried here so the flush-time latency SLI covers the whole
 	// generation cost.
@@ -136,77 +120,8 @@ func (s *System) cpPipelined() CPStats {
 		s.Agg.faults.EnterPhase(faultinject.PhaseAlloc)
 	}
 
-	// Open-generation allocation: identical mechanics to classic phase 1
-	// (sorted LUN order, trace candidates, dual-VBN assignment, COW frees).
-	luns := make([]*LUN, 0, len(s.pending))
-	for l := range s.pending {
-		luns = append(luns, l)
-	}
-	sort.Slice(luns, func(i, j int) bool {
-		if luns[i].vol.Name != luns[j].vol.Name {
-			return luns[i].vol.Name < luns[j].vol.Name
-		}
-		return luns[i].Name < luns[j].Name
-	})
-	volBlocks := make(map[*FlexVol]uint64, len(s.Agg.vols))
-	var totalBlocks uint64
-	cands := make(map[*FlexVol]*pipeCand)
-	for _, l := range luns {
-		dirty := s.pending[l]
-		n := len(dirty)
-		if n == 0 {
-			continue
-		}
-		vol := l.vol
-		if sp := vol.space; sp.tr != nil {
-			if _, ok := cands[vol]; !ok {
-				id, seq, smp := sp.tr.Begin(optrace.KindWrite)
-				cands[vol] = &pipeCand{
-					id: id, seq: seq, sampled: smp,
-					stalls0: sp.as.stalls, replenishes0: sp.replenishes,
-					stallBusy0: sp.as.stallBusy, refillBusy0: sp.as.refillBusy,
-				}
-				if smp {
-					sp.curTID = id
-				}
-			}
-		}
-		volBlocks[vol] += uint64(n)
-		totalBlocks += uint64(n)
-		virt := vol.space.allocate(n)
-		var phys []block.VBN
-		if s.tun.FlashPool {
-			phys = s.Agg.AllocatePhysicalPreferring(aa.MediaSSD, n)
-		} else {
-			phys = s.Agg.AllocatePhysical(n)
-		}
-		if len(virt) < n {
-			panic(fmt.Sprintf("wafl: volume %q out of virtual space", vol.Name))
-		}
-		if len(phys) < n {
-			panic("wafl: aggregate out of physical space")
-		}
-		lbas := make([]uint64, 0, n)
-		for lba := range dirty {
-			lbas = append(lbas, lba)
-		}
-		sortUint64s(lbas)
-		for i, lba := range lbas {
-			vol.refNew(virt[i])
-			old, wasWritten := l.install(lba, blockPtr{virt: virt[i], phys: phys[i]})
-			if wasWritten {
-				s.unref(vol, old)
-			}
-		}
-		s.c.BlocksWritten += uint64(n)
-		s.Agg.st.Emit("cp.alloc", vol.space.shard, l.Name, 0, int64(n))
-		delete(s.pending, l)
-	}
-	s.pendingBlocks = 0
-	s.opsSinceCP = 0
-	for vol := range cands {
-		vol.space.curTID = 0
-	}
+	// Open-generation allocation: the classic phase 1, shared code.
+	volBlocks, totalBlocks, cands := s.allocPending()
 
 	// Charge the alloc phase's CPU now (worker-invariant), but carry the
 	// amounts in the generation so its flush-time SLI covers them.
@@ -255,7 +170,7 @@ func (s *System) cpPipelined() CPStats {
 	s.pipe.serialWall += allocWall + flushWall
 
 	if committed {
-		s.pipeTail()
+		s.cpTail()
 	}
 	return st
 }
@@ -314,13 +229,7 @@ func (s *System) flushGeneration() CPStats {
 		}
 	}
 
-	var gBusy []time.Duration
-	if len(gen.cands) > 0 {
-		gBusy = make([]time.Duration, len(s.Agg.groups))
-		for i, g := range s.Agg.groups {
-			gBusy[i] = g.deviceBusy
-		}
-	}
+	gBusy := s.groupBusy(gen.cands)
 	cacheOpsBefore := s.cacheOps()
 	st := s.Agg.CommitPipelinedCP()
 	s.c.CPs++
@@ -334,88 +243,11 @@ func (s *System) flushGeneration() CPStats {
 	s.c.CPUTime += foldCache
 	s.c.CacheCPUTime += foldCache
 
-	// Latency SLI for the committed generation: same worker-invariant cost
-	// split as the classic CP, with the alloc-phase CPU carried over from
-	// seal time and the fold CPU measured here.
-	if gen.totalBlocks > 0 {
-		cpCost := st.DeviceBusy + metaNS + gen.allocScan + gen.allocCache + foldCache
-		cpPer := uint64(cpCost) / gen.totalBlocks
-		base := uint64(s.tun.CPUBasePerOp)
-		perBlock := base + cpPer
-		var metaPer, scanPer, cachePer, devPer uint64
-		if cpCost > 0 {
-			fc := float64(cpPer) / float64(cpCost)
-			metaPer = uint64(fc * float64(metaNS))
-			scanPer = uint64(fc * float64(gen.allocScan))
-			cachePer = uint64(fc * float64(gen.allocCache+foldCache))
-			devPer = cpPer - metaPer - scanPer - cachePer
-		}
-		for _, v := range s.Agg.vols {
-			if n := gen.volBlocks[v]; n > 0 {
-				sp := v.space
-				sp.lat.ObserveN(perBlock, n)
-				sp.attr[optrace.StageBase] += n * base
-				sp.attr[optrace.StageDevice] += n * devPer
-				sp.attr[optrace.StageMetafile] += n * metaPer
-				sp.attr[optrace.StageScan] += n * scanPer
-				sp.attr[optrace.StageCache] += n * cachePer
-			}
-		}
-		for _, v := range s.Agg.vols {
-			c := gen.cands[v]
-			if c == nil || gen.volBlocks[v] == 0 {
-				continue
-			}
-			sp := v.space
-			rec, slow := sp.tr.Decide(c.sampled, perBlock)
-			if !rec {
-				continue
-			}
-			var flushTotal time.Duration
-			for gi, g := range s.Agg.groups {
-				flushTotal += g.deviceBusy - gBusy[gi]
-			}
-			var leaves []optrace.Span
-			if devPer > 0 && flushTotal > 0 {
-				for gi, g := range s.Agg.groups {
-					if d := g.deviceBusy - gBusy[gi]; d > 0 {
-						leaves = append(leaves, optrace.Span{
-							Name:  fmt.Sprintf("rg%d", g.Index),
-							DurNS: uint64(float64(devPer) * float64(d) / float64(flushTotal)),
-						})
-					}
-				}
-			}
-			pk := sp.lastPick
-			alloc := optrace.Span{
-				Name: "alloc",
-				Detail: fmt.Sprintf("aa=%d score=%d runner_up=%d reason=%s stalls=%d refills=%d",
-					pk.aa, pk.score, pk.runner, pk.reason,
-					sp.as.stalls-c.stalls0, sp.replenishes-c.replenishes0),
-			}
-			if d := sp.as.stallBusy - c.stallBusy0; d > 0 {
-				alloc.Children = append(alloc.Children, optrace.Span{
-					Name: "stall", Detail: fmt.Sprintf("busy_ns=%d", d)})
-			}
-			if d := sp.as.refillBusy - c.refillBusy0; d > 0 {
-				alloc.Children = append(alloc.Children, optrace.Span{
-					Name: "refill", Detail: fmt.Sprintf("busy_ns=%d", d)})
-			}
-			sp.tr.Add(optrace.Trace{
-				ID: c.id, Kind: optrace.KindWrite.String(), Seq: c.seq, CP: s.c.CPs,
-				AtNS:  int64(s.c.DeviceBusy + s.c.CPUTime),
-				LatNS: perBlock, Blocks: gen.volBlocks[v], Slow: slow,
-				Spans: []optrace.Span{
-					{Name: optrace.StageBase.String(), DurNS: base},
-					alloc,
-					{Name: optrace.StageDevice.String(), DurNS: devPer, Children: leaves},
-					{Name: optrace.StageMetafile.String(), DurNS: metaPer},
-					{Name: optrace.StageScan.String(), DurNS: scanPer},
-					{Name: optrace.StageCache.String(), DurNS: cachePer},
-				},
-			})
-		}
-	}
+	// Latency SLI and traces for the committed generation: the classic
+	// split, with the alloc-phase CPU carried over from seal time and the
+	// fold CPU measured here.
+	s.attributeWrites(st, metaNS, gen.allocScan, gen.allocCache+foldCache,
+		gen.volBlocks, gen.totalBlocks, gen.cands, gBusy)
 	s.pipe.gen = pipeGen{}
 	s.pipe.inFlight = false
 	return st
@@ -438,32 +270,6 @@ func (s *System) Drain() CPStats {
 	s.pipe.flushWall += st.FlushWall
 	s.pipe.pipedWall += st.FlushWall
 	s.pipe.serialWall += st.FlushWall
-	s.pipeTail()
+	s.cpTail()
 	return st
-}
-
-// pipeTail is the classic CP tail (modeled-clock advance, watchdogs, CSV,
-// live publish, frag scan, tsdb sample, SLO evaluation), run once per
-// COMMITTED generation so the per-CP streams stay one row per CP ordinal.
-func (s *System) pipeTail() {
-	tot := s.c.DeviceBusy + s.c.CPUTime
-	s.Agg.st.Advance(tot - s.obsMark)
-	s.obsMark = tot
-	s.runWatchdogs()
-	if rec := s.Agg.obsOpts.CSV; rec != nil {
-		rec.Record(s.Agg.obsOpts.Name, s.c.CPs, s.Agg.reg.Snapshot())
-	}
-	if l := s.Agg.obsOpts.Live; l != nil {
-		l.Publish(s.Agg.obsOpts.Name, s.Agg.reg.Snapshot())
-	}
-	s.maybeFragScan()
-	if ts := s.Agg.obsOpts.TSDB; ts != nil {
-		ts.Sample(s.Agg.obsOpts.Name, s.c.CPs, tot, s.Agg.reg.StableSnapshot())
-	}
-	if e := s.Agg.sloEng; e != nil {
-		e.Evaluate(s.c.CPs, tot)
-	}
-	if c := s.Agg.ctl; c != nil {
-		c.Evaluate(s.c.CPs, tot)
-	}
 }

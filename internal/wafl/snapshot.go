@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"waflfs/internal/aa"
 	"waflfs/internal/block"
 )
 
@@ -28,47 +29,74 @@ var ErrCPInProgress = errors.New("wafl: operation requires a CP boundary")
 // A COW overwrite or hole punch drops the active reference; the pair's
 // storage is freed only when the last reference goes.
 
-// refcounts lives in the FlexVol, keyed by virtual VBN (each pair is
-// uniquely identified by its virtual address within the volume).
-func (v *FlexVol) refs() map[block.VBN]int32 {
-	if v.rc == nil {
-		v.rc = make(map[block.VBN]int32)
+// refcounts lives in the FlexVol, indexed by virtual VBN (each pair is
+// uniquely identified by its virtual address within the volume). It is a
+// dense int32 array, paged per RAID-agnostic AA: a page is allocated on the
+// first refNew into its AA, so a thin volume pays only for the AAs it has
+// written. A zero entry means "not referenced"; live counts the non-zero
+// entries (the number of referenced pairs).
+type refcounts struct {
+	pages [][]int32
+	live  uint64
+}
+
+// rcPage is the refcount page size: one RAID-agnostic AA of virtual VBNs.
+const rcPage = aa.RAIDAgnosticBlocks
+
+func newRefcounts(blocks uint64) refcounts {
+	return refcounts{pages: make([][]int32, (blocks+rcPage-1)/rcPage)}
+}
+
+// at returns the count of virt (0 if its page was never allocated).
+func (r *refcounts) at(virt block.VBN) int32 {
+	if pg := r.pages[virt/rcPage]; pg != nil {
+		return pg[virt%rcPage]
 	}
-	return v.rc
+	return 0
+}
+
+// slot returns virt's entry, allocating its page if needed.
+func (r *refcounts) slot(virt block.VBN) *int32 {
+	pg := r.pages[virt/rcPage]
+	if pg == nil {
+		pg = make([]int32, rcPage)
+		r.pages[virt/rcPage] = pg
+	}
+	return &pg[virt%rcPage]
+}
+
+// held returns virt's entry; referencing or dropping an unreferenced VBN
+// (op) is a bookkeeping bug and panics.
+func (r *refcounts) held(virt block.VBN, op string) *int32 {
+	if pg := r.pages[virt/rcPage]; pg != nil && pg[virt%rcPage] != 0 {
+		return &pg[virt%rcPage]
+	}
+	panic(fmt.Sprintf("wafl: %s of unknown virtual %v", op, virt))
 }
 
 // refNew registers a freshly allocated pair with one reference.
 func (v *FlexVol) refNew(virt block.VBN) {
-	rc := v.refs()
-	if _, dup := rc[virt]; dup {
+	n := v.rc.slot(virt)
+	if *n != 0 {
 		panic(fmt.Sprintf("wafl: virtual %v already referenced", virt))
 	}
-	rc[virt] = 1
+	*n = 1
+	v.rc.live++
 }
 
 // ref adds a reference to an existing pair.
-func (v *FlexVol) ref(virt block.VBN) {
-	rc := v.refs()
-	n, ok := rc[virt]
-	if !ok {
-		panic(fmt.Sprintf("wafl: ref of unknown virtual %v", virt))
-	}
-	rc[virt] = n + 1
-}
+func (v *FlexVol) ref(virt block.VBN) { *v.rc.held(virt, "ref")++ }
 
 // unref drops one reference; when the last goes, both VBNs are freed and
 // the function reports true.
 func (s *System) unref(v *FlexVol, p blockPtr) bool {
-	rc := v.refs()
-	n, ok := rc[p.virt]
-	if !ok {
-		panic(fmt.Sprintf("wafl: unref of unknown virtual %v", p.virt))
-	}
-	if n > 1 {
-		rc[p.virt] = n - 1
+	n := v.rc.held(p.virt, "unref")
+	if *n > 1 {
+		*n--
 		return false
 	}
-	delete(rc, p.virt)
+	*n = 0
+	v.rc.live--
 	v.space.free(p.virt)
 	s.Agg.FreePhysical(p.phys)
 	s.c.BlocksFreed++
@@ -183,41 +211,51 @@ func (s *System) RestoreSnapshot(l *LUN, name string) error {
 
 // CheckRefcounts verifies the volume-wide refcount invariant: every
 // allocated virtual VBN is referenced by exactly rc holders among the
-// active LUN images and snapshots, and every reference points at an
-// allocated pair. Tests call this after snapshot workloads.
+// active LUN images and snapshots, every reference points at an allocated
+// pair, and live counts the referenced pairs. Tests call this after
+// snapshot workloads.
 func (v *FlexVol) CheckRefcounts() error {
-	census := make(map[block.VBN]int32)
-	for _, l := range v.luns {
-		for _, p := range l.blocks {
+	census := newRefcounts(v.Blocks())
+	count := func(bps []blockPtr) {
+		for _, p := range bps {
 			if p.virt != block.InvalidVBN {
-				census[p.virt]++
-			}
-		}
-		for _, sn := range l.snaps {
-			for _, p := range sn.blocks {
-				if p.virt != block.InvalidVBN {
-					census[p.virt]++
+				n := census.slot(p.virt)
+				if *n == 0 {
+					census.live++
 				}
+				*n++
 			}
 		}
 	}
-	rc := v.refs()
-	if len(census) != len(rc) {
-		return fmt.Errorf("refcount census %d entries, rc map %d", len(census), len(rc))
+	for _, l := range v.luns {
+		count(l.blocks)
+		for _, sn := range l.snaps {
+			count(sn.blocks)
+		}
 	}
-	for virt, n := range census {
-		if rc[virt] != n {
-			return fmt.Errorf("virtual %v: rc %d, census %d", virt, rc[virt], n)
+	for pi := range v.rc.pages {
+		if v.rc.pages[pi] == nil && census.pages[pi] == nil {
+			continue
 		}
-		if !v.bm.Test(virt) {
-			return fmt.Errorf("virtual %v referenced but not allocated", virt)
+		for virt := block.VBN(pi * rcPage); virt < block.VBN((pi+1)*rcPage); virt++ {
+			n, want := v.rc.at(virt), census.at(virt)
+			if n != want {
+				return fmt.Errorf("virtual %v: rc %d, census %d", virt, n, want)
+			}
+			if n != 0 && !v.bm.Test(virt) {
+				return fmt.Errorf("virtual %v referenced but not allocated", virt)
+			}
 		}
+	}
+	// Every entry matches the census, so live must match its count too.
+	if v.rc.live != census.live {
+		return fmt.Errorf("refcount live %d, census %d referenced", v.rc.live, census.live)
 	}
 	// Blocks queued for delayed free are still allocated in the bitmap but
 	// referenced by nobody.
-	if uint64(len(census)+v.PendingFrees()) != v.bm.Used() {
+	if census.live+uint64(v.PendingFrees()) != v.bm.Used() {
 		return fmt.Errorf("census %d + pending %d blocks, bitmap used %d",
-			len(census), v.PendingFrees(), v.bm.Used())
+			census.live, v.PendingFrees(), v.bm.Used())
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"waflfs/internal/aa"
 	"waflfs/internal/block"
 )
 
@@ -179,10 +180,34 @@ func TestRestoreSnapshot(t *testing.T) {
 func TestSnapshotPanics(t *testing.T) {
 	s, lun := snapFixture(t)
 	s.CreateSnapshot(lun, "x")
+	vol := lun.vol
+	// An unreferenced VBN on an allocated refcount page, and one on a page
+	// no write has touched.
+	zero := block.VBN(0)
+	for vol.rc.at(zero) != 0 {
+		zero++
+	}
+	untouched := block.InvalidVBN
+	for pi, pg := range vol.rc.pages {
+		if pg == nil {
+			untouched = block.VBN(pi * rcPage)
+			break
+		}
+	}
+	if untouched == block.InvalidVBN {
+		t.Fatal("fixture left no refcount page unallocated")
+	}
 	for name, f := range map[string]func(){
-		"duplicate":       func() { s.CreateSnapshot(lun, "x") },
-		"delete missing":  func() { s.DeleteSnapshot(lun, "nope") },
-		"restore missing": func() { s.RestoreSnapshot(lun, "nope") },
+		"duplicate":          func() { s.CreateSnapshot(lun, "x") },
+		"delete missing":     func() { s.DeleteSnapshot(lun, "nope") },
+		"restore missing":    func() { s.RestoreSnapshot(lun, "nope") },
+		"double refNew":      func() { vol.refNew(lun.Virt(0)) },
+		"ref unreferenced":   func() { vol.ref(zero) },
+		"ref untouched page": func() { vol.ref(untouched) },
+		"unref unreferenced": func() { s.unref(vol, blockPtr{virt: zero, phys: lun.Phys(0)}) },
+		"unref untouched page": func() {
+			s.unref(vol, blockPtr{virt: untouched, phys: lun.Phys(0)})
+		},
 	} {
 		func() {
 			defer func() {
@@ -318,5 +343,64 @@ func checkConsistencyWithSnapshots(t *testing.T, s *System) {
 	}
 	if s.Agg.bm.Used() != refs {
 		t.Fatalf("aggregate used %d != virtual used %d", s.Agg.bm.Used(), refs)
+	}
+}
+
+// TestCheckRefcountsCatchesCorruption proves CheckRefcounts can fail: each
+// case corrupts the refcount table of a clean volume (some counts at 2,
+// held by a snapshot) and must be reported.
+func TestCheckRefcountsCatchesCorruption(t *testing.T) {
+	for name, corrupt := range map[string]func(v *FlexVol, l *LUN){
+		"bump one count": func(v *FlexVol, l *LUN) { *v.rc.slot(l.Virt(7))++ },
+		"zero one referenced count": func(v *FlexVol, l *LUN) {
+			*v.rc.slot(l.Virt(7)) = 0
+		},
+		"skew live": func(v *FlexVol, l *LUN) { v.rc.live++ },
+	} {
+		s, lun := snapFixture(t)
+		if _, err := s.CreateSnapshot(lun, "s"); err != nil {
+			t.Fatal(err)
+		}
+		for lba := uint64(0); lba < 100; lba++ {
+			s.Write(lun, lba, 1)
+		}
+		s.CP()
+		vol := lun.vol
+		if err := vol.CheckRefcounts(); err != nil {
+			t.Fatalf("%s: clean volume fails the check: %v", name, err)
+		}
+		corrupt(vol, lun)
+		if err := vol.CheckRefcounts(); err == nil {
+			t.Errorf("%s: CheckRefcounts = nil, want an error", name)
+		}
+	}
+}
+
+// TestRefcountPagesThin pins thin provisioning's cost: a fig10-shaped volume
+// (16×16 AAs of virtual space) that has written 4,096 blocks into one AA
+// holds exactly one refcount page.
+func TestRefcountPagesThin(t *testing.T) {
+	tun := DefaultTunables()
+	tun.CPEveryOps = 1 << 30
+	vols := []VolSpec{{Name: "thin", Blocks: 16 * 16 * aa.RAIDAgnosticBlocks}}
+	s := NewSystem(testSpecs(), vols, tun, 1)
+	vol := s.Agg.Vols()[0]
+	lun := vol.CreateLUN("lun0", 4096)
+	s.Write(lun, 0, 4096)
+	s.CP()
+	if got, want := len(vol.rc.pages), 16*16; got != want {
+		t.Fatalf("refcount page table has %d slots, want %d", got, want)
+	}
+	pages := 0
+	for _, pg := range vol.rc.pages {
+		if pg != nil {
+			pages++
+		}
+	}
+	if pages != 1 || vol.rc.live != 4096 {
+		t.Fatalf("%d refcount pages, %d live entries; want 1 page, 4096 live", pages, vol.rc.live)
+	}
+	if err := vol.CheckRefcounts(); err != nil {
+		t.Fatal(err)
 	}
 }

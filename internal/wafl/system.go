@@ -1,7 +1,9 @@
 package wafl
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -21,11 +23,14 @@ type System struct {
 	Agg *Aggregate
 	tun Tunables
 
-	// pending holds the coalesced dirty blocks of the current CP, per LUN.
-	pending map[*LUN]map[uint64]struct{}
+	// pending lists the LUNs with dirty blocks in the current CP, in first-
+	// write order; each LUN holds its coalesced dirty set (LUN.dirty).
+	pending []*LUN
 	// pendingBlocks counts dirty (lun, lba) pairs across the buffer.
 	pendingBlocks int
 	opsSinceCP    int
+	// lbas is the CP's LBA scratch buffer, reused across LUNs and CPs.
+	lbas []uint64
 
 	c Counters
 	// cpWall accumulates the modeled flush wall-clock (CPStats.FlushWall)
@@ -95,11 +100,7 @@ func NewSystem(specs []GroupSpec, vols []VolSpec, tun Tunables, seed int64) *Sys
 	for _, vs := range vols {
 		ag.AddVolume(vs)
 	}
-	s := &System{
-		Agg:     ag,
-		tun:     ag.tun,
-		pending: make(map[*LUN]map[uint64]struct{}),
-	}
+	s := &System{Agg: ag, tun: ag.tun}
 	s.act.s = s
 	s.registerSystemObs()
 	if o := &ag.obsOpts; o.Control != nil && o.TSDB != nil {
@@ -127,17 +128,10 @@ func (s *System) Write(l *LUN, lba uint64, nblocks int) {
 	if lba+uint64(nblocks) > l.Blocks() {
 		panic(fmt.Sprintf("wafl: write [%d,%d) beyond LUN %q size %d", lba, lba+uint64(nblocks), l.Name, l.Blocks()))
 	}
-	m, ok := s.pending[l]
-	if !ok {
-		m = make(map[uint64]struct{})
-		s.pending[l] = m
+	if l.dirtyN == 0 && nblocks > 0 {
+		s.pending = append(s.pending, l)
 	}
-	for i := 0; i < nblocks; i++ {
-		if _, dup := m[lba+uint64(i)]; !dup {
-			m[lba+uint64(i)] = struct{}{}
-			s.pendingBlocks++
-		}
-	}
+	s.pendingBlocks += l.markDirty(lba, nblocks)
 	s.c.Ops++
 	s.c.ModOps++
 	s.c.CPUTime += s.tun.CPUBasePerOp
@@ -190,7 +184,7 @@ func (s *System) Read(l *LUN, lba uint64, nblocks int) {
 		perDev[devKey{g, d}] = append(perDev[devKey{g, d}], dbn)
 	}
 	// Pool blocks: one range GET per contiguous VBN run.
-	sortVBNs(poolRun)
+	slices.Sort(poolRun)
 	for i := 0; i < len(poolRun); {
 		j := i + 1
 		for j < len(poolRun) && poolRun[j] == poolRun[j-1]+1 {
@@ -204,7 +198,7 @@ func (s *System) Read(l *LUN, lba uint64, nblocks int) {
 		i = j
 	}
 	for key, dbns := range perDev {
-		sortUint64s(dbns)
+		slices.Sort(dbns)
 		for i := 0; i < len(dbns); {
 			j := i + 1
 			for j < len(dbns) && dbns[j] == dbns[j-1]+1 {
@@ -265,10 +259,6 @@ type devKey struct {
 	d int
 }
 
-func sortVBNs(xs []block.VBN) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
-
 // CP commits the current consistency point: dirty blocks get their dual
 // VBNs (virtual from each volume's HBPS-guided allocator, physical from the
 // tetris round-robin over RAID groups), previous block versions are freed
@@ -284,44 +274,75 @@ func (s *System) CP() CPStats {
 	s.Agg.faults.BeginCP()
 	s.Agg.faults.EnterPhase(faultinject.PhaseAlloc)
 
-	// Phase 1: write allocation + COW frees, volume by volume. The pending
-	// map is iterated in sorted (volume, LUN) order: map order would assign
-	// VBNs to LUNs differently run to run whenever more than one LUN is
-	// dirty, leaking nondeterminism into every downstream read and free.
-	luns := make([]*LUN, 0, len(s.pending))
-	for l := range s.pending {
-		luns = append(luns, l)
-	}
-	sort.Slice(luns, func(i, j int) bool {
-		if luns[i].vol.Name != luns[j].vol.Name {
-			return luns[i].vol.Name < luns[j].vol.Name
+	// Phase 1: write allocation + COW frees, volume by volume.
+	volBlocks, totalBlocks, cands := s.allocPending()
+
+	// Phase 1.5: apply queued delayed frees, most-pending-AA-first.
+	s.Agg.faults.EnterPhase(faultinject.PhaseDelayedFree)
+	for _, v := range s.Agg.vols {
+		freed, aas := v.space.reclaimDelayedFrees(s.tun.DelayedFreeBudgetPerCP)
+		if freed > 0 {
+			s.Agg.st.Emit("cp.delayed_free", v.space.shard, "reclaim", 0, int64(freed))
+			s.Agg.st.Emit("cp.delayed_free", v.space.shard, "aas_processed", 0, int64(aas))
 		}
-		return luns[i].Name < luns[j].Name
+	}
+
+	// Phase 2: flush.
+	gBusy := s.groupBusy(cands)
+	st := s.Agg.CommitCP()
+	s.c.CPs++
+	s.c.DeviceBusy += st.DeviceBusy
+	pages := uint64(st.MetafilePagesAggregate + st.MetafilePagesVols)
+	s.c.MetafilePages += pages
+	s.c.TopAABlocks += uint64(st.TopAABlocks)
+	metaNS := time.Duration(pages) * s.tun.CPUPerMetafilePage
+	s.c.CPUTime += metaNS
+	scanCPU := time.Duration(s.virtScanBlocks()-scanBefore) * s.tun.CPUPerVirtAllocScan
+	s.c.CPUTime += scanCPU
+	cacheCPU := time.Duration(s.cacheOps()-cacheOpsBefore) * s.tun.CPUPerCacheOp
+	s.c.CPUTime += cacheCPU
+	s.c.CacheCPUTime += cacheCPU
+	s.cpWall += st.FlushWall
+
+	s.attributeWrites(st, metaNS, scanCPU, cacheCPU, volBlocks, totalBlocks, cands, gBusy)
+	s.cpTail()
+	return st
+}
+
+// writeCand is a write-trace candidate. The blocks a volume commits in one
+// CP share one modeled latency (the write-side SLI), so one candidate per
+// (volume, CP) stands for the whole batch; it carries the allocator's
+// activity counters at the batch's start for the trace's alloc span.
+type writeCand struct {
+	id, seq      uint64
+	sampled      bool
+	stalls0      uint64
+	replenishes0 uint64
+	stallBusy0   time.Duration
+	refillBusy0  time.Duration
+}
+
+// allocPending is phase 1 of every CP boundary, classic or pipelined: each
+// dirty LUN's blocks get their dual VBNs (virtual from the volume's
+// HBPS-guided allocator, physical from the tetris round-robin) and the
+// previous versions are freed (COW). It returns the blocks committed per
+// volume, their total, and the volumes' write-trace candidates.
+//
+// LUNs are taken in (volume, LUN) name order and each LUN's blocks in LBA
+// order, so VBN assignment does not depend on the order writes were issued.
+func (s *System) allocPending() (volBlocks map[*FlexVol]uint64, totalBlocks uint64, cands map[*FlexVol]*writeCand) {
+	slices.SortFunc(s.pending, func(a, b *LUN) int {
+		return cmp.Or(cmp.Compare(a.vol.Name, b.vol.Name), cmp.Compare(a.Name, b.Name))
 	})
-	volBlocks := make(map[*FlexVol]uint64, len(s.Agg.vols))
-	var totalBlocks uint64
-	// Op tracing, write side: the blocks a volume commits this CP share one
-	// modeled latency (the SLI below), so one trace candidate per (volume,
-	// CP) stands for the whole batch. Begin draws the volume's deterministic
-	// write sequence number before its first allocation; while the volume
-	// allocates, the sampled trace ID rides along in curTID so its
-	// pick-provenance records cross-reference the trace.
-	type writeCand struct {
-		id, seq      uint64
-		sampled      bool
-		stalls0      uint64
-		replenishes0 uint64
-		stallBusy0   time.Duration
-		refillBusy0  time.Duration
-	}
-	cands := make(map[*FlexVol]*writeCand)
-	for _, l := range luns {
-		dirty := s.pending[l]
-		n := len(dirty)
-		if n == 0 {
-			continue
-		}
+	volBlocks = make(map[*FlexVol]uint64, len(s.Agg.vols))
+	cands = make(map[*FlexVol]*writeCand)
+	for _, l := range s.pending {
+		n := l.dirtyN
 		vol := l.vol
+		// Begin draws the volume's deterministic write sequence number
+		// before its first allocation; while the volume allocates, the
+		// sampled trace ID rides along in curTID so its pick-provenance
+		// records cross-reference the trace.
 		if sp := vol.space; sp.tr != nil {
 			if _, ok := cands[vol]; !ok {
 				id, seq, smp := sp.tr.Begin(optrace.KindWrite)
@@ -350,13 +371,8 @@ func (s *System) CP() CPStats {
 		if len(phys) < n {
 			panic("wafl: aggregate out of physical space")
 		}
-		// Deterministic iteration: sort the dirty LBAs.
-		lbas := make([]uint64, 0, n)
-		for lba := range dirty {
-			lbas = append(lbas, lba)
-		}
-		sortUint64s(lbas)
-		for i, lba := range lbas {
+		s.lbas = l.takeDirty(s.lbas[:0])
+		for i, lba := range s.lbas {
 			vol.refNew(virt[i])
 			old, wasWritten := l.install(lba, blockPtr{virt: virt[i], phys: phys[i]})
 			if wasWritten {
@@ -367,146 +383,19 @@ func (s *System) CP() CPStats {
 		}
 		s.c.BlocksWritten += uint64(n)
 		s.Agg.st.Emit("cp.alloc", vol.space.shard, l.Name, 0, int64(n))
-		delete(s.pending, l)
 	}
+	s.pending = s.pending[:0]
 	s.pendingBlocks = 0
 	s.opsSinceCP = 0
 	for vol := range cands {
 		vol.space.curTID = 0
 	}
+	return volBlocks, totalBlocks, cands
+}
 
-	// Phase 1.5: apply queued delayed frees, most-pending-AA-first.
-	s.Agg.faults.EnterPhase(faultinject.PhaseDelayedFree)
-	for _, v := range s.Agg.vols {
-		freed, aas := v.space.reclaimDelayedFrees(s.tun.DelayedFreeBudgetPerCP)
-		if freed > 0 {
-			s.Agg.st.Emit("cp.delayed_free", v.space.shard, "reclaim", 0, int64(freed))
-			s.Agg.st.Emit("cp.delayed_free", v.space.shard, "aas_processed", 0, int64(aas))
-		}
-	}
-
-	// Phase 2: flush. When traces are pending, snapshot per-group device
-	// busy so their flush-time deltas can become device leaf spans.
-	var gBusy []time.Duration
-	if len(cands) > 0 {
-		gBusy = make([]time.Duration, len(s.Agg.groups))
-		for i, g := range s.Agg.groups {
-			gBusy[i] = g.deviceBusy
-		}
-	}
-	st := s.Agg.CommitCP()
-	s.c.CPs++
-	s.c.DeviceBusy += st.DeviceBusy
-	pages := uint64(st.MetafilePagesAggregate + st.MetafilePagesVols)
-	s.c.MetafilePages += pages
-	s.c.TopAABlocks += uint64(st.TopAABlocks)
-	s.c.CPUTime += time.Duration(pages) * s.tun.CPUPerMetafilePage
-	scanCPU := time.Duration(s.virtScanBlocks()-scanBefore) * s.tun.CPUPerVirtAllocScan
-	s.c.CPUTime += scanCPU
-	cacheCPU := time.Duration(s.cacheOps()-cacheOpsBefore) * s.tun.CPUPerCacheOp
-	s.c.CPUTime += cacheCPU
-	s.c.CacheCPUTime += cacheCPU
-	s.cpWall += st.FlushWall
-
-	// Latency SLI, write side: every block committed this CP shares the
-	// CP's worker-invariant modeled cost (device time, metafile and
-	// virtual-scan CPU, cache CPU) evenly, on top of the per-op base CPU
-	// charge. FlushWall is deliberately excluded: it varies with worker
-	// width, and the SLO engine requires invariant inputs.
-	//
-	// The per-block share is split by stage in the same proportions as the
-	// CP cost it came from, with the device stage absorbing the integer
-	// rounding remainder: the stages then sum to perBlock exactly, so the
-	// attribution accumulators reconcile with the histogram total to the
-	// nanosecond (optrace.attr_coverage == 1.0). The float64 scaling is
-	// deterministic — IEEE ops on worker-invariant integers.
-	var perBlock uint64
-	if totalBlocks > 0 {
-		metaNS := time.Duration(pages) * s.tun.CPUPerMetafilePage
-		cpCost := st.DeviceBusy + metaNS + scanCPU + cacheCPU
-		cpPer := uint64(cpCost) / totalBlocks
-		base := uint64(s.tun.CPUBasePerOp)
-		perBlock = base + cpPer
-		var metaPer, scanPer, cachePer, devPer uint64
-		if cpCost > 0 {
-			fc := float64(cpPer) / float64(cpCost)
-			metaPer = uint64(fc * float64(metaNS))
-			scanPer = uint64(fc * float64(scanCPU))
-			cachePer = uint64(fc * float64(cacheCPU))
-			devPer = cpPer - metaPer - scanPer - cachePer
-		}
-		for _, v := range s.Agg.vols {
-			if n := volBlocks[v]; n > 0 {
-				sp := v.space
-				sp.lat.ObserveN(perBlock, n)
-				sp.attr[optrace.StageBase] += n * base
-				sp.attr[optrace.StageDevice] += n * devPer
-				sp.attr[optrace.StageMetafile] += n * metaPer
-				sp.attr[optrace.StageScan] += n * scanPer
-				sp.attr[optrace.StageCache] += n * cachePer
-			}
-		}
-		// Record the pending write traces: one per sampled (volume, CP)
-		// batch, span durations from the same stage split the accumulators
-		// used, plus a zero-duration allocator annotation (pick provenance,
-		// stall/refill activity) and per-group flush leaf spans scaled to
-		// the op's device share.
-		for _, v := range s.Agg.vols {
-			c := cands[v]
-			if c == nil || volBlocks[v] == 0 {
-				continue
-			}
-			sp := v.space
-			rec, slow := sp.tr.Decide(c.sampled, perBlock)
-			if !rec {
-				continue
-			}
-			var flushTotal time.Duration
-			for gi, g := range s.Agg.groups {
-				flushTotal += g.deviceBusy - gBusy[gi]
-			}
-			var leaves []optrace.Span
-			if devPer > 0 && flushTotal > 0 {
-				for gi, g := range s.Agg.groups {
-					if d := g.deviceBusy - gBusy[gi]; d > 0 {
-						leaves = append(leaves, optrace.Span{
-							Name:  fmt.Sprintf("rg%d", g.Index),
-							DurNS: uint64(float64(devPer) * float64(d) / float64(flushTotal)),
-						})
-					}
-				}
-			}
-			pk := sp.lastPick
-			alloc := optrace.Span{
-				Name: "alloc",
-				Detail: fmt.Sprintf("aa=%d score=%d runner_up=%d reason=%s stalls=%d refills=%d",
-					pk.aa, pk.score, pk.runner, pk.reason,
-					sp.as.stalls-c.stalls0, sp.replenishes-c.replenishes0),
-			}
-			if d := sp.as.stallBusy - c.stallBusy0; d > 0 {
-				alloc.Children = append(alloc.Children, optrace.Span{
-					Name: "stall", Detail: fmt.Sprintf("busy_ns=%d", d)})
-			}
-			if d := sp.as.refillBusy - c.refillBusy0; d > 0 {
-				alloc.Children = append(alloc.Children, optrace.Span{
-					Name: "refill", Detail: fmt.Sprintf("busy_ns=%d", d)})
-			}
-			sp.tr.Add(optrace.Trace{
-				ID: c.id, Kind: optrace.KindWrite.String(), Seq: c.seq, CP: s.c.CPs,
-				AtNS:  int64(s.c.DeviceBusy + s.c.CPUTime),
-				LatNS: perBlock, Blocks: volBlocks[v], Slow: slow,
-				Spans: []optrace.Span{
-					{Name: optrace.StageBase.String(), DurNS: base},
-					alloc,
-					{Name: optrace.StageDevice.String(), DurNS: devPer, Children: leaves},
-					{Name: optrace.StageMetafile.String(), DurNS: metaPer},
-					{Name: optrace.StageScan.String(), DurNS: scanPer},
-					{Name: optrace.StageCache.String(), DurNS: cachePer},
-				},
-			})
-		}
-	}
-
+// cpTail closes every committed CP, classic or pipelined (once per CP
+// ordinal, so the per-CP streams stay one row per CP).
+func (s *System) cpTail() {
 	// Advance the tracer's modeled clock by the worker-invariant time this
 	// CP (and the client ops since the last one) accrued, then record the
 	// per-CP metric row.
@@ -542,7 +431,126 @@ func (s *System) CP() CPStats {
 		// byte-identical at any worker width.
 		c.Evaluate(s.c.CPs, tot)
 	}
-	return st
+}
+
+// attributeWrites charges a committed CP's modeled cost to the blocks it
+// wrote — the write-side latency SLI, the per-stage attribution
+// accumulators, and the sampled write traces — on the classic and the
+// pipelined path alike. metaNS, scanCPU and cacheCPU are the CP's metafile,
+// virtual-scan and cache CPU; gBusy is the groupBusy snapshot taken before
+// the flush.
+func (s *System) attributeWrites(st CPStats, metaNS, scanCPU, cacheCPU time.Duration,
+	volBlocks map[*FlexVol]uint64, totalBlocks uint64, cands map[*FlexVol]*writeCand, gBusy []time.Duration) {
+	// Latency SLI, write side: every block committed this CP shares the
+	// CP's worker-invariant modeled cost (device time, metafile and
+	// virtual-scan CPU, cache CPU) evenly, on top of the per-op base CPU
+	// charge. FlushWall is deliberately excluded: it varies with worker
+	// width, and the SLO engine requires invariant inputs.
+	//
+	// The per-block share is split by stage in the same proportions as the
+	// CP cost it came from, with the device stage absorbing the integer
+	// rounding remainder: the stages then sum to perBlock exactly, so the
+	// attribution accumulators reconcile with the histogram total to the
+	// nanosecond (optrace.attr_coverage == 1.0). The float64 scaling is
+	// deterministic — IEEE ops on worker-invariant integers.
+	if totalBlocks == 0 {
+		return
+	}
+	cpCost := st.DeviceBusy + metaNS + scanCPU + cacheCPU
+	cpPer := uint64(cpCost) / totalBlocks
+	base := uint64(s.tun.CPUBasePerOp)
+	perBlock := base + cpPer
+	var metaPer, scanPer, cachePer, devPer uint64
+	if cpCost > 0 {
+		fc := float64(cpPer) / float64(cpCost)
+		metaPer = uint64(fc * float64(metaNS))
+		scanPer = uint64(fc * float64(scanCPU))
+		cachePer = uint64(fc * float64(cacheCPU))
+		devPer = cpPer - metaPer - scanPer - cachePer
+	}
+	for _, v := range s.Agg.vols {
+		if n := volBlocks[v]; n > 0 {
+			sp := v.space
+			sp.lat.ObserveN(perBlock, n)
+			sp.attr[optrace.StageBase] += n * base
+			sp.attr[optrace.StageDevice] += n * devPer
+			sp.attr[optrace.StageMetafile] += n * metaPer
+			sp.attr[optrace.StageScan] += n * scanPer
+			sp.attr[optrace.StageCache] += n * cachePer
+		}
+	}
+	// Record the pending write traces: one per sampled (volume, CP)
+	// batch, span durations from the same stage split the accumulators
+	// used, plus a zero-duration allocator annotation (pick provenance,
+	// stall/refill activity) and per-group flush leaf spans scaled to
+	// the op's device share.
+	for _, v := range s.Agg.vols {
+		c := cands[v]
+		if c == nil || volBlocks[v] == 0 {
+			continue
+		}
+		sp := v.space
+		rec, slow := sp.tr.Decide(c.sampled, perBlock)
+		if !rec {
+			continue
+		}
+		var flushTotal time.Duration
+		for gi, g := range s.Agg.groups {
+			flushTotal += g.deviceBusy - gBusy[gi]
+		}
+		var leaves []optrace.Span
+		if devPer > 0 && flushTotal > 0 {
+			for gi, g := range s.Agg.groups {
+				if d := g.deviceBusy - gBusy[gi]; d > 0 {
+					leaves = append(leaves, optrace.Span{
+						Name:  fmt.Sprintf("rg%d", g.Index),
+						DurNS: uint64(float64(devPer) * float64(d) / float64(flushTotal)),
+					})
+				}
+			}
+		}
+		pk := sp.lastPick
+		alloc := optrace.Span{
+			Name: "alloc",
+			Detail: fmt.Sprintf("aa=%d score=%d runner_up=%d reason=%s stalls=%d refills=%d",
+				pk.aa, pk.score, pk.runner, pk.reason,
+				sp.as.stalls-c.stalls0, sp.replenishes-c.replenishes0),
+		}
+		if d := sp.as.stallBusy - c.stallBusy0; d > 0 {
+			alloc.Children = append(alloc.Children, optrace.Span{
+				Name: "stall", Detail: fmt.Sprintf("busy_ns=%d", d)})
+		}
+		if d := sp.as.refillBusy - c.refillBusy0; d > 0 {
+			alloc.Children = append(alloc.Children, optrace.Span{
+				Name: "refill", Detail: fmt.Sprintf("busy_ns=%d", d)})
+		}
+		sp.tr.Add(optrace.Trace{
+			ID: c.id, Kind: optrace.KindWrite.String(), Seq: c.seq, CP: s.c.CPs,
+			AtNS:  int64(s.c.DeviceBusy + s.c.CPUTime),
+			LatNS: perBlock, Blocks: volBlocks[v], Slow: slow,
+			Spans: []optrace.Span{
+				{Name: optrace.StageBase.String(), DurNS: base},
+				alloc,
+				{Name: optrace.StageDevice.String(), DurNS: devPer, Children: leaves},
+				{Name: optrace.StageMetafile.String(), DurNS: metaPer},
+				{Name: optrace.StageScan.String(), DurNS: scanPer},
+				{Name: optrace.StageCache.String(), DurNS: cachePer},
+			},
+		})
+	}
+}
+
+// groupBusy snapshots per-group device busy when write traces are pending,
+// so their flush-time deltas can become device leaf spans.
+func (s *System) groupBusy(cands map[*FlexVol]*writeCand) []time.Duration {
+	if len(cands) == 0 {
+		return nil
+	}
+	gBusy := make([]time.Duration, len(s.Agg.groups))
+	for i, g := range s.Agg.groups {
+		gBusy[i] = g.deviceBusy
+	}
+	return gBusy
 }
 
 // CPFlushWall returns the cumulative modeled wall-clock of CP flush phases:
@@ -635,10 +643,6 @@ func (s *System) WriteAmplification() float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-func sortUint64s(xs []uint64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
 
 // ResetMetrics zeroes the measurement counters of every group and volume

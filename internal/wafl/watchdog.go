@@ -392,7 +392,7 @@ func (s *System) runWatchdogs() {
 	for _, v := range ag.vols {
 		w.checks.Inc()
 		w.consChecks.Inc()
-		want := uint64(len(v.rc))
+		want := v.rc.live
 		delayed := uint64(0)
 		if v.space.delayed != nil {
 			delayed = uint64(v.space.delayed.count)
@@ -407,7 +407,7 @@ func (s *System) runWatchdogs() {
 		if got := v.bm.Used(); got != want {
 			w.violate(w.consViol,
 				"volume %q: bitmap used %d, refcounted %d + delayed %d — free blocks not conserved",
-				v.Name, got, len(v.rc), delayed)
+				v.Name, got, v.rc.live, delayed)
 		}
 	}
 	for _, g := range ag.groups {
