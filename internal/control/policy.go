@@ -18,6 +18,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"waflfs/internal/obs/tsdb"
 )
 
 // Knob names the controller may actuate. The Actuator implementation
@@ -115,36 +117,6 @@ var reservedNames = map[string]bool{
 	"transitions": true, "knob": true,
 }
 
-func validName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '.', r == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func validPattern(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '.', r == '-', r == '*':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // normalize fills unset optional fields with defaults.
@@ -161,13 +133,13 @@ func (p *Policy) normalize() {
 }
 
 func (p *Policy) validate() error {
-	if !validName(p.Name) {
+	if !tsdb.ValidName(p.Name) {
 		return fmt.Errorf("invalid name %q", p.Name)
 	}
 	if reservedNames[p.Name] {
 		return fmt.Errorf("name %q is reserved", p.Name)
 	}
-	if !validPattern(p.Signal) {
+	if !tsdb.ValidPattern(p.Signal) {
 		return fmt.Errorf("invalid signal %q", p.Signal)
 	}
 	for _, seg := range strings.Split(p.Signal, ".") {

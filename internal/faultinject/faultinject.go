@@ -28,9 +28,10 @@ import (
 	"time"
 )
 
-// Named CP phases, in execution order. System.CP and Aggregate.CommitCP
-// call Injector.EnterPhase with each in turn; a plan's CrashPhase names one
-// of them.
+// Named CP phases, in execution order. Each wafl CP boundary calls
+// Injector.EnterPhase with each in turn — alloc from System.CP, delayed_free
+// as the sealed generation's commit begins, the rest from
+// Aggregate.CommitCP; a plan's CrashPhase names one of them.
 const (
 	PhaseAlloc       = "alloc"        // phase 1: write allocation + COW frees
 	PhaseDelayedFree = "delayed_free" // phase 1.5: delayed-free reclaim

@@ -18,6 +18,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"waflfs/internal/obs/tsdb"
 )
 
 // Kind selects the SLI a spec measures.
@@ -98,36 +100,6 @@ var reservedNames = map[string]bool{
 	"evaluations": true, "warns": true, "pages": true, "transitions": true,
 }
 
-func validName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '.', r == '-':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func validPattern(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '.', r == '-', r == '*':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 func (k Kind) valid() bool {
 	switch k {
 	case Latency, Stall, Fallback, Watchdog, Recovery, Ratio:
@@ -186,7 +158,7 @@ func (s *Spec) validate() error {
 	if !s.Kind.valid() {
 		return fmt.Errorf("unknown kind %q", s.Kind)
 	}
-	if !validName(s.Name) {
+	if !tsdb.ValidName(s.Name) {
 		return fmt.Errorf("invalid name %q", s.Name)
 	}
 	if reservedNames[s.Name] {
@@ -196,7 +168,7 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("target %v must be in (0,1)", s.Target)
 	}
 	if s.Kind.spaced() {
-		if !validPattern(s.Space) {
+		if !tsdb.ValidPattern(s.Space) {
 			return fmt.Errorf("invalid space %q", s.Space)
 		}
 	} else if s.Space != "" {
@@ -209,7 +181,7 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("kind %s takes no threshold", s.Kind)
 	}
 	if s.Kind == Ratio {
-		if !validName(s.Bad) || !validName(s.Total) {
+		if !tsdb.ValidName(s.Bad) || !tsdb.ValidName(s.Total) {
 			return fmt.Errorf("ratio needs bad= and total= series suffixes")
 		}
 	} else if s.Bad != "" || s.Total != "" {

@@ -405,3 +405,28 @@ func (s *Store) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
 }
+
+// ValidName reports whether s can stand as one component of a series name:
+// non-empty, and only ASCII letters, digits, '_', '.' and '-'. The clause
+// parsers that build series names from user-supplied specs (SLO instances,
+// control policies) validate their names with it.
+func ValidName(s string) bool { return validComponent(s, false) }
+
+// ValidPattern is ValidName with '*' wildcards allowed — a series-name
+// pattern that expands against the store's series.
+func ValidPattern(s string) bool { return validComponent(s, true) }
+
+func validComponent(s string, wildcard bool) bool {
+	if s == "" {
+		return false
+	}
+	for _, r := range s {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '_', r == '.', r == '-', wildcard && r == '*':
+		default:
+			return false
+		}
+	}
+	return true
+}

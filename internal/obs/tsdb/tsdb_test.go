@@ -186,3 +186,25 @@ func TestWriteJSONDeterministicOrder(t *testing.T) {
 		t.Fatalf("insertion order leaked into JSON:\n%s\nvs\n%s", a, buf.String())
 	}
 }
+
+func TestValidNameAndPattern(t *testing.T) {
+	for _, c := range []struct {
+		s             string
+		name, pattern bool
+	}{
+		{"vol.v0-a_1", true, true},
+		{"vol.*", false, true},
+		{"", false, false},
+		{"a b", false, false},
+		{"a,b", false, false},
+		{"a=b", false, false},
+		{"völ", false, false},
+	} {
+		if got := ValidName(c.s); got != c.name {
+			t.Errorf("ValidName(%q) = %v, want %v", c.s, got, c.name)
+		}
+		if got := ValidPattern(c.s); got != c.pattern {
+			t.Errorf("ValidPattern(%q) = %v, want %v", c.s, got, c.pattern)
+		}
+	}
+}

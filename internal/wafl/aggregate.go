@@ -251,10 +251,12 @@ type CPStats struct {
 	TopAABlocks int
 }
 
-// CommitCP ends the current consistency point: it flushes each group's
-// writes as tetrises (charging the device models), applies the batched AA
-// score updates to every cache, writes back dirty bitmap-metafile pages,
-// and persists the TopAA metafiles (§3.3, §3.4).
+// CommitCP commits the sealed generation (see System.sealGeneration): it
+// flushes each group's sealed writes as tetrises (charging the device
+// models), folds the sealed AA score deltas into every cache, writes back
+// dirty bitmap-metafile pages, and persists the TopAA metafiles (§3.3,
+// §3.4). The open generation's deltas, writes, and queues stay untouched,
+// so a pipelined System keeps allocating while this runs.
 //
 // The per-group flush + delta fold fans out over the work pool: each
 // group's devices, tetris stats, cache, and delta map are group-local, so
@@ -275,9 +277,9 @@ func (ag *Aggregate) CommitCP() CPStats {
 	busy := make([]time.Duration, len(ag.groups))
 	parallel.ForEachObs(workers, len(ag.groups), ag.pobs, func(i int) {
 		g := ag.groups[i]
-		busy[i] = g.flushCP()
+		busy[i] = g.flushSealedCP()
 		ag.st.Emit("cp.flush", i, "group", busy[i], 0)
-		g.applyCPDeltas()
+		g.applyFlushDeltas()
 	})
 	ag.faults.EnterPhase(faultinject.PhaseTopAAGroups)
 	for i, g := range ag.groups {
@@ -293,74 +295,9 @@ func (ag *Aggregate) CommitCP() CPStats {
 	}
 	if ag.pool != nil {
 		ag.faults.EnterPhase(faultinject.PhasePool)
-		poolBusy := ag.pool.flushCP()
-		st.DeviceBusy += poolBusy
-		busy = append(busy, poolBusy) // the object store flushes alongside the groups
-		ag.st.Emit("cp.flush", poolShard, "pool", poolBusy, 0)
-		ag.pool.space.applyCPDeltas()
-		ag.store.SaveAgnostic(poolTopAAKey, ag.pool.space.cache)
-		st.TopAABlocks += 2
-		ag.st.Emit("cp.topaa", poolShard, "pool", 0, 2)
-	}
-	st.FlushWall = parallel.Makespan(busy, workers)
-	ag.faults.EnterPhase(faultinject.PhaseBitmapAgg)
-	st.MetafilePagesAggregate = ag.bm.Flush()
-	ag.st.Emit("cp.metafile", -1, "aggregate", 0, int64(st.MetafilePagesAggregate))
-
-	ag.faults.EnterPhase(faultinject.PhaseVolFold)
-	volPages := make([]int, len(ag.vols))
-	parallel.ForEachObs(workers, len(ag.vols), ag.pobs, func(i int) {
-		v := ag.vols[i]
-		v.space.applyCPDeltas()
-		volPages[i] = v.bm.Flush()
-	})
-	ag.faults.EnterPhase(faultinject.PhaseTopAAVols)
-	for i, v := range ag.vols {
-		ag.store.SaveAgnostic(v.Name, v.space.cache)
-		st.TopAABlocks += 2
-		st.MetafilePagesVols += volPages[i]
-		ag.st.Emit("cp.metafile", i, "volume", 0, int64(volPages[i]))
-		ag.st.Emit("cp.topaa", i, "volume", 0, 2)
-	}
-	ag.faults.EnterPhase(faultinject.PhaseCommit)
-	ag.cpTot.add(st)
-	return st
-}
-
-// CommitPipelinedCP commits the SEALED generation of a pipelined CP: the
-// flush banks sealCP captured one generation ago are flushed and folded
-// with exactly the classic phase structure (so the crash matrix's phase
-// hooks cover the pipelined path too), while the open generation's deltas,
-// writes, and queues stay untouched and the allocator keeps running.
-func (ag *Aggregate) CommitPipelinedCP() CPStats {
-	var st CPStats
-	workers := ag.workers()
-
-	ag.store.BeginGeneration()
-
-	ag.faults.EnterPhase(faultinject.PhaseFlush)
-	busy := make([]time.Duration, len(ag.groups))
-	parallel.ForEachObs(workers, len(ag.groups), ag.pobs, func(i int) {
-		g := ag.groups[i]
-		busy[i] = g.flushSealedCP()
-		ag.st.Emit("cp.flush", i, "group", busy[i], 0)
-		g.applyFlushDeltas()
-	})
-	ag.faults.EnterPhase(faultinject.PhaseTopAAGroups)
-	for i, g := range ag.groups {
-		st.DeviceBusy += busy[i]
-		if err := ag.store.SaveRAIDAware(topaaGroupKey(g.Index), g.cache); err != nil {
-			ag.st.Emit("cp.topaa", g.Index, "save_error", 0, 0)
-			continue
-		}
-		st.TopAABlocks++
-		ag.st.Emit("cp.topaa", g.Index, "group", 0, 1)
-	}
-	if ag.pool != nil {
-		ag.faults.EnterPhase(faultinject.PhasePool)
 		poolBusy := ag.pool.flushSealedCP()
 		st.DeviceBusy += poolBusy
-		busy = append(busy, poolBusy)
+		busy = append(busy, poolBusy) // the object store flushes alongside the groups
 		ag.st.Emit("cp.flush", poolShard, "pool", poolBusy, 0)
 		ag.pool.space.applyFlushDeltas()
 		ag.store.SaveAgnostic(poolTopAAKey, ag.pool.space.cache)
@@ -549,10 +486,6 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 		g := ag.groups[i]
 		g.curValid = false
 		g.cpWrites = g.cpWrites[:0]
-		g.deltas = make(map[aa.ID]int64)
-		g.flushDeltas = nil
-		g.flushWrites = nil
-		g.flushCS = nil
 		outcome := MountBitmapWalk
 		rebuilt := false
 		if useTopAA {
@@ -569,6 +502,11 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 					}
 				}
 				if valid {
+					// The seed is the image of the last committed CP; the
+					// deltas pending since are exactly what it lacks, so
+					// they stay (ledgers folded in before resetShardCache
+					// drops them) and fold into it at the next CP.
+					g.as.fold(g.deltas)
 					cache := heapcache.New(g.topo.NumAAs())
 					for _, e := range entries {
 						cache.Insert(e.ID, e.Score)
@@ -589,6 +527,9 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 			}
 		}
 		if !rebuilt {
+			// Bitmap-derived scores already include every pending delta.
+			clear(g.deltas)
+			clear(g.flushDeltas)
 			scores := aa.ScoreAllParallelObs(g.topo, ag.bm, workers, ag.pobs, ag.scoredAAs)
 			g.cache = heapcache.NewFromScores(scores)
 			g.seedOnly = false
@@ -619,13 +560,13 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 	parallel.ForEachObs(workers, len(spaces), ag.pobs, func(i int) {
 		sp := spaces[i]
 		sp.curValid = false
-		sp.deltas = make(map[aa.ID]int64)
-		sp.flushDeltas = nil
 		outcome := MountBitmapWalk
 		rebuilt := false
 		if useTopAA {
 			h, loadOutcome, err := ag.store.LoadAgnostic(names[i])
 			if err == nil {
+				// As for groups: pending deltas are what the image lacks.
+				sp.as.fold(sp.deltas)
 				sp.cache = h
 				rebuilt = true
 				outcome = MountCleanLoad
@@ -637,7 +578,7 @@ func (ag *Aggregate) Remount(useTopAA bool) MountStats {
 			}
 		}
 		if !rebuilt {
-			sp.replenish()
+			sp.replenish() // drops the pending deltas along with the old scores
 			spaceStats[i].inserts += uint64(sp.topo.NumAAs())
 		}
 		sp.resetShardCache()
@@ -705,8 +646,8 @@ func (ag *Aggregate) RepairTopAA() int {
 		scores := aa.ScoreAllParallelObs(g.topo, ag.bm, ag.workers(), ag.pobs, ag.scoredAAs)
 		g.cache = heapcache.NewFromScores(scores)
 		g.seedOnly = false
-		g.deltas = make(map[aa.ID]int64)
-		g.flushDeltas = nil
+		clear(g.deltas)
+		clear(g.flushDeltas)
 		err := ag.store.SaveRAIDAware(topaaGroupKey(g.Index), g.cache)
 		// Rebuild the shard queues around the repaired cache after the save,
 		// so the metafile holds the complete score set.

@@ -43,11 +43,10 @@ type agnosticSpace struct {
 	deltas map[aa.ID]int64
 	rng    *rand.Rand
 
-	// flushDeltas is the sealed generation's delta bank when CPs are
-	// pipelined: sealCPDeltas swaps the open map here, new writes keep
-	// accumulating into a fresh deltas map, and applyFlushDeltas folds the
-	// sealed bank into the HBPS when the in-flight generation commits. Nil
-	// or empty on the classic path.
+	// flushDeltas is the sealed generation's delta bank: sealCPDeltas swaps
+	// the open map here, new writes keep accumulating into the other map,
+	// and applyFlushDeltas folds the sealed bank into the HBPS when the
+	// generation commits (see pipeline.go).
 	flushDeltas map[aa.ID]int64
 
 	// delayed, when non-nil, queues frees per AA with HBPS-tracked scores
@@ -55,7 +54,8 @@ type agnosticSpace struct {
 	// pipelined CPs delayedSealed holds the previous generation's queue:
 	// frees landing mid-flush go to delayed (the open generation) while the
 	// in-flight flush reclaims only from delayedSealed, crediting each free
-	// to the CP it logically belongs to.
+	// to the CP it logically belongs to. The classic CP reclaims straight
+	// from delayed and leaves delayedSealed nil.
 	delayed       *delayedFrees
 	delayedSealed *delayedFrees
 
@@ -120,6 +120,7 @@ func newAgnosticSpace(name string, space block.Range, bm *bitmap.Bitmap, tun Tun
 		workers:      tun.Workers,
 		as:           newAllocState(tun),
 		deltas:       make(map[aa.ID]int64),
+		flushDeltas:  make(map[aa.ID]int64),
 		rng:          rng,
 	}
 	s.cache = hbps.New(hbps.DefaultConfig())
@@ -415,68 +416,29 @@ func (s *agnosticSpace) free(v block.VBN) {
 	s.as.noteFree(s.topo.AAOf(v), s.deltas)
 }
 
-// applyCPDeltas flushes the batched score updates into the HBPS at the CP
-// boundary. HBPS stores no per-AA scores, so the previous score is derived
-// from the authoritative bitmap count minus the pending delta. Updates are
-// applied in AA order: the HBPS pop order breaks score ties by insertion
-// sequence, so folding the deltas in map-iteration order would make
-// allocation decisions vary run to run.
-func (s *agnosticSpace) applyCPDeltas() {
-	// Fold the shard ledgers into the shared delta map first (shard-index
-	// order, IDs sorted within each shard) so the HBPS updates below see
-	// totals identical at any worker width.
-	s.as.fold(s.deltas)
-	if !s.cacheEnabled {
-		for id := range s.deltas {
-			delete(s.deltas, id)
-		}
-		return
-	}
-	var folds int64
-	for _, id := range sortedIDs(s.deltas) {
-		d := s.deltas[id]
-		if d == 0 {
-			delete(s.deltas, id)
-			continue
-		}
-		newScore := s.aaScore(id)
-		old := int64(newScore) - d
-		if old < 0 {
-			panic(fmt.Sprintf("wafl: %s AA %d delta %d implies negative old score", s.name, id, d))
-		}
-		s.cache.Update(id, uint32(old), newScore)
-		s.cacheOps++
-		folds++
-		delete(s.deltas, id)
-	}
-	s.st.Emit("cp.fold.virt", s.shard, "hbps_updates", 0, folds)
-}
-
-// sealCPDeltas closes the open generation's ledger for a pipelined CP:
-// shard ledgers fold into the shared map (same deterministic order as the
-// classic fold), then the whole map swaps into the flush bank and a fresh
-// open map takes its place. New writes accumulate into the fresh map while
-// the sealed bank waits for applyFlushDeltas at the generation's commit.
+// sealCPDeltas closes the open generation's ledger: shard ledgers fold
+// into the shared map (shard-index order, IDs sorted within each shard, so
+// the totals are identical at any worker width), then the map swaps places
+// with the flush bank — empty here, since the previous generation's fold
+// drained it — and new writes accumulate into the bank's storage until the
+// sealed deltas fold at the generation's commit.
 func (s *agnosticSpace) sealCPDeltas() {
 	s.as.fold(s.deltas)
-	s.flushDeltas = s.deltas
-	s.deltas = make(map[aa.ID]int64)
+	s.deltas, s.flushDeltas = s.flushDeltas, s.deltas
 }
 
 // applyFlushDeltas folds the sealed generation's delta bank into the HBPS
-// when its flush commits. The HBPS stores no per-AA scores, so the current
-// listed score is derived from the authoritative bitmap count minus every
-// delta the cache has not seen (open ledgers + open map); subtracting the
-// sealed delta from that gives the score the entry was listed at. Both are
-// provably non-negative — a violation means ledger corruption.
+// at its commit. Updates are applied in AA order: the HBPS pop order breaks
+// score ties by insertion sequence, so folding in map-iteration order would
+// make allocation decisions vary run to run. The HBPS stores no per-AA
+// scores, so the current listed score is derived from the authoritative
+// bitmap count minus every delta the cache has not seen (open ledgers +
+// open map); subtracting the sealed delta from that gives the score the
+// entry was listed at. Both are provably non-negative — a violation means
+// ledger corruption.
 func (s *agnosticSpace) applyFlushDeltas() {
-	if len(s.flushDeltas) == 0 {
-		return
-	}
 	if !s.cacheEnabled {
-		for id := range s.flushDeltas {
-			delete(s.flushDeltas, id)
-		}
+		clear(s.flushDeltas)
 		return
 	}
 	var folds int64

@@ -17,9 +17,9 @@ import (
 // keyed by (space, pick sequence), independent of the Workers knob — so the
 // pick stream, every staged batch, and every folded delta are bit-identical
 // at any worker width. Ledgers fold into the shared delta map in
-// shard-index order (IDs sorted within a shard) at the head of
-// applyCPDeltas, so the CP-boundary fold observes exactly the totals the
-// classic path would have accumulated.
+// shard-index order (IDs sorted within a shard) when the generation seals
+// (Group.sealCP, agnosticSpace.sealCPDeltas), so the commit-time fold
+// observes exactly the totals the shared path would have accumulated.
 //
 // Contention is modeled, not measured: picks execute serially on the CP
 // thread (like FlushWall's flush tasks), and each shard's pick time
@@ -185,7 +185,7 @@ func (as *allocState) clearLedgers() {
 }
 
 // residue returns the first ledger entry in deterministic order, for the
-// post-fold watchdog: after applyCPDeltas every ledger must be empty.
+// post-fold watchdog: after the seal-time fold every ledger must be empty.
 func (as *allocState) residue() (shard int, id aa.ID, d int64, ok bool) {
 	if !as.sharded() {
 		return 0, 0, 0, false

@@ -117,19 +117,19 @@ func (v *FlexVol) PendingFrees() int {
 	return n
 }
 
-// reclaimSealedFrees applies queued frees from the SEALED generation's
-// queue, best-AA-first, until the budget is exhausted (budget <= 0 means
-// unlimited). Unlike reclaimDelayedFrees it credits the score drops to the
-// sealed flushDeltas bank — the frees belong to the committing CP, not the
-// open one — so the flush-time cache fold settles them with the rest of the
-// generation. Whatever the budget leaves behind stays in the sealed queue
-// and is carried into the next generation at the following seal (absorb).
-func (s *agnosticSpace) reclaimSealedFrees(budget int) (freed, aas int) {
-	if s.delayedSealed == nil {
+// reclaimFrees applies queued frees from q, best-AA-first, until the budget
+// is exhausted (budget <= 0 means unlimited). Whole AAs are processed at a
+// time; it returns blocks freed and AAs processed. The score drops are
+// credited to the sealed flushDeltas bank — the frees belong to the
+// committing generation — so its cache fold settles them with the rest of
+// the generation. Whatever the budget leaves behind stays queued for a
+// later CP.
+func (s *agnosticSpace) reclaimFrees(q *delayedFrees, budget int) (freed, aas int) {
+	if q == nil {
 		return 0, 0
 	}
-	for s.delayedSealed.count > 0 && (budget <= 0 || freed < budget) {
-		id, vs, ok := s.delayedSealed.pop()
+	for q.count > 0 && (budget <= 0 || freed < budget) {
+		id, vs, ok := q.pop()
 		if !ok {
 			break
 		}
@@ -138,30 +138,6 @@ func (s *agnosticSpace) reclaimSealedFrees(budget int) (freed, aas int) {
 				panic(fmt.Sprintf("wafl: delayed free of unallocated %v in %s", v, s.name))
 			}
 			s.flushDeltas[id]++
-			freed++
-		}
-		aas++
-	}
-	return freed, aas
-}
-
-// reclaimDelayedFrees applies queued frees, best-AA-first, until the budget
-// is exhausted (budget <= 0 means unlimited). Whole AAs are processed at a
-// time; it returns blocks freed and AAs processed.
-func (s *agnosticSpace) reclaimDelayedFrees(budget int) (freed, aas int) {
-	if s.delayed == nil {
-		return 0, 0
-	}
-	for s.delayed.count > 0 && (budget <= 0 || freed < budget) {
-		id, vs, ok := s.delayed.pop()
-		if !ok {
-			break
-		}
-		for _, v := range vs {
-			if !s.bm.Clear(v) {
-				panic(fmt.Sprintf("wafl: delayed free of unallocated %v in %s", v, s.name))
-			}
-			s.as.noteFree(id, s.deltas)
 			freed++
 		}
 		aas++

@@ -65,11 +65,11 @@ type Group struct {
 	// cpWrites collects the physical VBNs allocated since the last CP.
 	cpWrites []block.VBN
 
-	// Pipelined-CP double buffering (see system.go cpPipelined): at seal,
-	// deltas/cpWrites/pendingCS swap into these banks while the open
-	// generation keeps accumulating into fresh ones; the banks flush and
-	// fold when the sealed generation commits. Nil/empty on the classic
-	// path.
+	// Flush banks (see pipeline.go): at seal, deltas/cpWrites/pendingCS
+	// swap with these, and the banks flush and fold when the sealed
+	// generation commits — at the same boundary on the classic path, one
+	// boundary later under Tunables.Pipeline. Empty between boundaries
+	// unless a pipelined generation is in flight.
 	flushDeltas map[aa.ID]int64
 	flushWrites []block.VBN
 	flushCS     []uint64
@@ -137,6 +137,7 @@ func buildGroup(index int, spec GroupSpec, startVBN block.VBN, tun Tunables, rng
 		cacheEnabled: tun.AggregateCacheEnabled,
 		azcs:         spec.AZCS,
 		deltas:       make(map[aa.ID]int64),
+		flushDeltas:  make(map[aa.ID]int64),
 		as:           newAllocState(tun),
 		raidStats:    raid.NewStats(geo),
 		rng:          rng,
@@ -569,59 +570,23 @@ func (g *Group) free(bm *bitmap.Bitmap, v block.VBN, trim bool) {
 	}
 }
 
-// flushCP classifies this CP's writes into tetrises, charges the device
-// models (data chains first, then any queued out-of-band AZCS checksum
-// writes), and returns the time the flush kept the group's devices busy.
-func (g *Group) flushCP() time.Duration {
-	if len(g.cpWrites) == 0 && len(g.pendingCS) == 0 {
-		return 0
-	}
-	var busy time.Duration
-	tetrises := raid.BuildTetrises(g.geo, g.cpWrites)
-	g.cpWrites = g.cpWrites[:0]
-	for i := range tetrises {
-		t := &tetrises[i]
-		g.raidStats.Add(t)
-		for _, c := range t.Chains {
-			busy += g.chargeChain(c)
-		}
-		// Parity devices rewrite one block per touched stripe; for
-		// AA-directed writes these are contiguous runs.
-		if g.geo.ParityDevices > 0 && t.StripesTouched > 0 {
-			busy += g.parity.WriteChain(t.Tetris*block.StripesPerTetris, uint64(t.ParityWriteBlocks))
-			if t.ParityReadBlocks > 0 {
-				busy += g.parity.Read(uint64(t.ParityReadBlocks))
-			}
-		}
-	}
-	for _, cs := range g.pendingCS {
-		for d := range g.devices {
-			g.azcsRandomWrites++
-			busy += g.devices[d].WriteChain(cs, 1)
-		}
-	}
-	g.pendingCS = g.pendingCS[:0]
-	g.deviceBusy += busy
-	return busy
-}
-
-// sealCP closes the open generation for a pipelined CP: shard ledgers fold
-// into the shared delta map (the classic deterministic order), then the
-// delta map, the CP's write set, and the queued AZCS checksum positions all
-// swap into the flush banks while fresh open structures take their place.
+// sealCP closes the open generation: shard ledgers fold into the shared
+// delta map (shard-index order, IDs sorted within each shard, so the merged
+// totals are identical at any worker width), then the delta map, the write
+// set, and the queued AZCS checksum positions swap places with the flush
+// banks. The banks are empty here — the previous generation's flush drained
+// them — so the open generation keeps accumulating into their storage.
 func (g *Group) sealCP() {
 	g.as.fold(g.deltas)
-	g.flushDeltas = g.deltas
-	g.deltas = make(map[aa.ID]int64)
-	g.flushWrites = g.cpWrites
-	g.cpWrites = nil
-	g.flushCS = g.pendingCS
-	g.pendingCS = nil
+	g.deltas, g.flushDeltas = g.flushDeltas, g.deltas
+	g.cpWrites, g.flushWrites = g.flushWrites, g.cpWrites
+	g.pendingCS, g.flushCS = g.flushCS, g.pendingCS
 }
 
-// flushSealedCP is flushCP over the sealed generation's banks: it charges
-// the device models for the writes sealed one generation ago while the open
-// generation keeps allocating.
+// flushSealedCP classifies the sealed generation's writes into tetrises,
+// charges the device models (data chains first, then any queued
+// out-of-band AZCS checksum writes), and returns the time the flush kept
+// the group's devices busy.
 func (g *Group) flushSealedCP() time.Duration {
 	if len(g.flushWrites) == 0 && len(g.flushCS) == 0 {
 		return 0
@@ -635,6 +600,8 @@ func (g *Group) flushSealedCP() time.Duration {
 		for _, c := range t.Chains {
 			busy += g.chargeChain(c)
 		}
+		// Parity devices rewrite one block per touched stripe; for
+		// AA-directed writes these are contiguous runs.
 		if g.geo.ParityDevices > 0 && t.StripesTouched > 0 {
 			busy += g.parity.WriteChain(t.Tetris*block.StripesPerTetris, uint64(t.ParityWriteBlocks))
 			if t.ParityReadBlocks > 0 {
@@ -678,7 +645,7 @@ func (g *Group) chargeChain(c raid.Chain) time.Duration {
 // region boundaries (§3.2.4, Fig. 4 B vs C): the straddled regions' data is
 // split across AAs written at different times, so their shared checksum
 // block must be updated with a separate random write. The writes are issued
-// by flushCP after the CP's data chains.
+// by flushSealedCP after the CP's data chains.
 func (g *Group) queueAZCSBoundaries(id aa.ID) {
 	from, to := g.topo.StripeRange(id)
 	if to == from {
@@ -696,55 +663,15 @@ func (g *Group) queueAZCSBoundaries(id aa.ID) {
 	}
 }
 
-// applyCPDeltas folds the batched score changes into the AA cache at the CP
-// boundary (§3.3).
-func (g *Group) applyCPDeltas() {
-	// Fold the shard ledgers into the shared delta map first: shard-index
-	// order, IDs sorted within each shard, so the merged totals — and the
-	// heap updates below — are identical at any worker width.
-	g.as.fold(g.deltas)
-	if !g.cacheEnabled {
-		for id := range g.deltas {
-			delete(g.deltas, id)
-		}
-		return
-	}
-	// Sorted order keeps the heap's tie-break (insertion sequence) — and
-	// hence pick order — identical run to run.
-	var folds int64
-	for _, id := range sortedIDs(g.deltas) {
-		d := g.deltas[id]
-		if g.curValid && id == g.curAA {
-			continue // still held by the allocator; folded in at finishAA
-		}
-		if !g.cache.Tracked(id) {
-			continue // seed-only cache: background fill will insert it
-		}
-		s := int64(g.cache.Score(id)) + d
-		if s < 0 {
-			s = 0
-		}
-		g.cache.Update(id, uint64(s))
-		g.cacheOps++
-		folds++
-		delete(g.deltas, id)
-	}
-	g.st.Emit("cp.fold.phys", g.Index, "heap_updates", 0, folds)
-}
-
 // applyFlushDeltas folds the sealed generation's delta bank into the AA
-// cache when its flush commits. Deltas the fold cannot apply yet — the
-// allocator's in-flight AA, or an AA a seed-only cache does not track —
-// merge back into the open map, so finishAA / the background fill settle
-// them exactly as they settle classic deltas.
+// cache at its commit (§3.3), in AA order: the heap breaks score ties by
+// insertion sequence, so sorted updates keep pick order identical run to
+// run. Deltas the fold cannot apply yet — the allocator's in-flight AA, or
+// an AA a seed-only cache does not track — merge back into the open map,
+// where finishAA or the background fill settles them.
 func (g *Group) applyFlushDeltas() {
-	if len(g.flushDeltas) == 0 {
-		return
-	}
 	if !g.cacheEnabled {
-		for id := range g.flushDeltas {
-			delete(g.flushDeltas, id)
-		}
+		clear(g.flushDeltas)
 		return
 	}
 	var folds int64

@@ -203,3 +203,47 @@ func TestRepairTopAARecoversFromCorruption(t *testing.T) {
 	s.CP()
 	checkConsistency(t, s)
 }
+
+// Frees noted after the last CP (here a snapshot deletion) are exactly what
+// the saved TopAA images lack: a remount that seeds from them must keep the
+// pending deltas, and one that walks the bitmap must drop them, or the
+// caches disagree with the bitmap.
+func TestRemountWithUncommittedFreesScrubsClean(t *testing.T) {
+	for _, useTopAA := range []bool{false, true} {
+		for _, pipeline := range []bool{false, true} {
+			for _, shards := range []int{0, 4} {
+				tun := DefaultTunables()
+				tun.Pipeline = pipeline
+				tun.AllocShards = shards
+				s := testSystem(t, tun)
+				lun := s.Agg.Vols()[0].CreateLUN("lun0", 20000)
+				for lba := uint64(0); lba < 5000; lba++ {
+					s.Write(lun, lba, 1)
+				}
+				s.CP()
+				s.Drain()
+				if _, err := s.CreateSnapshot(lun, "snap"); err != nil {
+					t.Fatal(err)
+				}
+				for lba := uint64(0); lba < 5000; lba++ {
+					s.Write(lun, lba, 1)
+				}
+				s.CP()
+				s.Drain()
+				if _, err := s.DeleteSnapshot(lun, "snap"); err != nil {
+					t.Fatal(err)
+				}
+				s.Agg.Remount(useTopAA)
+				s.Agg.CompleteBackgroundFill()
+				if rep := s.Agg.Scrub(); !rep.Clean() {
+					t.Errorf("topaa=%v pipeline=%v shards=%d: after remount: %s", useTopAA, pipeline, shards, rep)
+				}
+				s.CP()
+				s.Drain()
+				if rep := s.Agg.Scrub(); !rep.Clean() {
+					t.Errorf("topaa=%v pipeline=%v shards=%d: after the next CP: %s", useTopAA, pipeline, shards, rep)
+				}
+			}
+		}
+	}
+}

@@ -131,8 +131,9 @@ func (o *ObsOptions) normalized() ObsOptions {
 // kept clear of volume indexes (volumes may be added after the pool).
 const poolShard = 1 << 20
 
-// cpTotals accumulates the CPStats of every CommitCP — the single write
-// point the cp.* registry metrics read through.
+// cpTotals accumulates the CPStats of every Aggregate.CommitCP — the one
+// commit path, classic or pipelined, and the single write point the cp.*
+// registry metrics read through.
 type cpTotals struct {
 	cps         uint64
 	pagesAgg    uint64
@@ -505,7 +506,7 @@ func CountersFromSnapshot(snap obs.Snapshot) Counters {
 }
 
 // CPStatsFromRegistry reconstructs the cumulative CP totals from the
-// registry — the sum of every CPStats CommitCP has returned.
+// registry — the sum of every CPStats Aggregate.CommitCP has returned.
 func CPStatsFromRegistry(reg *obs.Registry) CPStats {
 	snap := reg.Snapshot()
 	return CPStats{

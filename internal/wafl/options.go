@@ -126,8 +126,8 @@ type Tunables struct {
 	// instead of their sum. Delta ledgers are double-buffered (sealed
 	// generation vs open generation) and delayed frees carry a second,
 	// sealed queue so frees landing mid-flush credit the correct CP (see
-	// system.go cpPipelined and DESIGN.md §12). False keeps the classic
-	// stop-the-world CP byte-for-byte.
+	// pipeline.go and DESIGN.md §12). False commits each generation at the
+	// boundary that seals it: the classic stop-the-world CP.
 	Pipeline bool
 
 	// Obs configures the observability layer (metric export, CP-phase

@@ -54,9 +54,8 @@ type Pool struct {
 	space *agnosticSpace
 
 	cpBlocks int // blocks written (tiered out) since the last CP
-	// flushBlocks is the sealed generation's bank under pipelined CPs:
-	// sealCP swaps cpBlocks here and flushSealedCP ships it while the open
-	// generation keeps accumulating.
+	// flushBlocks is the sealed generation's bank: sealCP moves cpBlocks
+	// here and flushSealedCP ships it when the generation commits.
 	flushBlocks int
 
 	puts, gets    uint64
@@ -123,20 +122,6 @@ func (p *Pool) read(n uint64) time.Duration {
 	d := p.spec.GetLatency + time.Duration(n)*p.spec.PerBlock
 	p.gets++
 	p.blocksFetched += n
-	p.busy += d
-	return d
-}
-
-// flushCP ships the CP's tiered blocks as objects.
-func (p *Pool) flushCP() time.Duration {
-	if p.cpBlocks == 0 {
-		return 0
-	}
-	objects := (uint64(p.cpBlocks) + p.spec.ObjectBlocks - 1) / p.spec.ObjectBlocks
-	d := time.Duration(objects)*p.spec.PutLatency + time.Duration(p.cpBlocks)*p.spec.PerBlock
-	p.puts += objects
-	p.blocksTiered += uint64(p.cpBlocks)
-	p.cpBlocks = 0
 	p.busy += d
 	return d
 }

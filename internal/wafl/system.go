@@ -12,6 +12,7 @@ import (
 	"waflfs/internal/device"
 	"waflfs/internal/faultinject"
 	"waflfs/internal/obs/optrace"
+	"waflfs/internal/parallel"
 )
 
 // System is the client-facing facade: it accepts LUN reads and writes,
@@ -40,8 +41,8 @@ type System struct {
 	// contributes max(alloc wall, flush wall) instead of the flush wall
 	// alone (see pipeline.go).
 	cpWall time.Duration
-	// pipe is the pipelined-CP state (Tunables.Pipeline; see pipeline.go).
-	// Zero-valued and untouched on the classic path.
+	// pipe is the CP generation state (see pipeline.go). Its cp.pipeline.*
+	// accumulators stay zero on the classic path.
 	pipe cpPipeline
 	// obsMark is the (DeviceBusy + CPUTime) total already folded into the
 	// tracer's modeled clock; both terms are worker-count invariant, so
@@ -263,49 +264,75 @@ type devKey struct {
 // VBNs (virtual from each volume's HBPS-guided allocator, physical from the
 // tetris round-robin over RAID groups), previous block versions are freed
 // (COW), tetrises are flushed, caches updated, metafiles written back.
+//
+// Every boundary runs the same stages (see pipeline.go): allocate the
+// pending writes into the open generation, seal it, and commit a sealed
+// generation. The classic CP commits the generation it just sealed, so
+// seal and flush fall at the same boundary. Under Tunables.Pipeline the
+// boundary commits the generation sealed one boundary earlier, overlapping
+// its flush with this boundary's allocation; CP then returns that
+// generation's CPStats (zero at the first boundary, when nothing was in
+// flight).
 func (s *System) CP() CPStats {
-	if s.tun.Pipeline {
-		return s.cpPipelined()
-	}
-	cacheOpsBefore := s.cacheOps()
-	scanBefore := s.virtScanBlocks()
+	committed := s.pipe.inFlight
 	s.Agg.cpOrd = s.c.CPs + 1 // provenance records carry the CP being built
+	if committed {
+		s.Agg.cpOrd++ // the in-flight generation commits first
+	}
 	s.Agg.st.BeginCP()
 	s.Agg.faults.BeginCP()
-	s.Agg.faults.EnterPhase(faultinject.PhaseAlloc)
-
-	// Phase 1: write allocation + COW frees, volume by volume.
-	volBlocks, totalBlocks, cands := s.allocPending()
-
-	// Phase 1.5: apply queued delayed frees, most-pending-AA-first.
-	s.Agg.faults.EnterPhase(faultinject.PhaseDelayedFree)
-	for _, v := range s.Agg.vols {
-		freed, aas := v.space.reclaimDelayedFrees(s.tun.DelayedFreeBudgetPerCP)
-		if freed > 0 {
-			s.Agg.st.Emit("cp.delayed_free", v.space.shard, "reclaim", 0, int64(freed))
-			s.Agg.st.Emit("cp.delayed_free", v.space.shard, "aas_processed", 0, int64(aas))
-		}
+	if committed {
+		s.Agg.faults.EnterPhase(faultinject.PhaseOverlapAlloc)
+	} else {
+		s.Agg.faults.EnterPhase(faultinject.PhaseAlloc)
 	}
 
-	// Phase 2: flush.
-	gBusy := s.groupBusy(cands)
-	st := s.Agg.CommitCP()
-	s.c.CPs++
-	s.c.DeviceBusy += st.DeviceBusy
-	pages := uint64(st.MetafilePagesAggregate + st.MetafilePagesVols)
-	s.c.MetafilePages += pages
-	s.c.TopAABlocks += uint64(st.TopAABlocks)
-	metaNS := time.Duration(pages) * s.tun.CPUPerMetafilePage
-	s.c.CPUTime += metaNS
-	scanCPU := time.Duration(s.virtScanBlocks()-scanBefore) * s.tun.CPUPerVirtAllocScan
-	s.c.CPUTime += scanCPU
-	cacheCPU := time.Duration(s.cacheOps()-cacheOpsBefore) * s.tun.CPUPerCacheOp
-	s.c.CPUTime += cacheCPU
-	s.c.CacheCPUTime += cacheCPU
-	s.cpWall += st.FlushWall
+	// Phase 1: write allocation + COW frees into the open generation. Its
+	// CPU is charged now (worker-invariant) and carried in the generation,
+	// so the commit-time latency SLI covers the whole generation cost.
+	cacheOpsBefore := s.cacheOps()
+	scanBefore := s.virtScanBlocks()
+	volBlocks, totalBlocks, cands := s.allocPending()
+	gen := pipeGen{
+		volBlocks: volBlocks, totalBlocks: totalBlocks, cands: cands,
+		allocScan:  time.Duration(s.virtScanBlocks()-scanBefore) * s.tun.CPUPerVirtAllocScan,
+		allocCache: time.Duration(s.cacheOps()-cacheOpsBefore) * s.tun.CPUPerCacheOp,
+	}
+	s.c.CPUTime += gen.allocScan + gen.allocCache
+	s.c.CacheCPUTime += gen.allocCache
 
-	s.attributeWrites(st, metaNS, scanCPU, cacheCPU, volBlocks, totalBlocks, cands, gBusy)
-	s.cpTail()
+	if !s.tun.Pipeline {
+		// Phase 2: seal the generation and commit it at once — delayed-free
+		// reclaim, flush, cache fold, metafile write-back.
+		s.sealGeneration(gen)
+		st := s.flushGeneration(faultinject.PhaseDelayedFree)
+		s.cpWall += st.FlushWall
+		s.cpTail()
+		return st
+	}
+
+	// Pipelined: the modeled alloc wall fans each volume's allocation work
+	// (its blocks at the base per-op cost) out over the work pool, the way
+	// the flush fans out over groups. The in-flight generation commits
+	// while (logically) that allocation runs, and the boundary's wall is
+	// max(alloc, flush), not their sum.
+	volBusy := make([]time.Duration, 0, len(s.Agg.vols))
+	for _, v := range s.Agg.vols {
+		if n := volBlocks[v]; n > 0 {
+			volBusy = append(volBusy, time.Duration(n)*s.tun.CPUBasePerOp)
+		}
+	}
+	allocWall := parallel.Makespan(volBusy, s.Agg.workers())
+	var st CPStats
+	if committed {
+		st = s.flushGeneration(faultinject.PhaseOverlapFlush)
+	}
+	s.sealGeneration(gen)
+	s.pipe.generations++
+	s.addWalls(allocWall, st.FlushWall)
+	if committed {
+		s.cpTail()
+	}
 	return st
 }
 
@@ -322,11 +349,11 @@ type writeCand struct {
 	refillBusy0  time.Duration
 }
 
-// allocPending is phase 1 of every CP boundary, classic or pipelined: each
-// dirty LUN's blocks get their dual VBNs (virtual from the volume's
-// HBPS-guided allocator, physical from the tetris round-robin) and the
-// previous versions are freed (COW). It returns the blocks committed per
-// volume, their total, and the volumes' write-trace candidates.
+// allocPending is phase 1 of every CP boundary: each dirty LUN's blocks get
+// their dual VBNs (virtual from the volume's HBPS-guided allocator, physical
+// from the tetris round-robin) and the previous versions are freed (COW). It
+// returns the blocks committed per volume, their total, and the volumes'
+// write-trace candidates.
 //
 // LUNs are taken in (volume, LUN) name order and each LUN's blocks in LBA
 // order, so VBN assignment does not depend on the order writes were issued.
@@ -393,8 +420,8 @@ func (s *System) allocPending() (volBlocks map[*FlexVol]uint64, totalBlocks uint
 	return volBlocks, totalBlocks, cands
 }
 
-// cpTail closes every committed CP, classic or pipelined (once per CP
-// ordinal, so the per-CP streams stay one row per CP).
+// cpTail closes every committed CP (once per CP ordinal, so the per-CP
+// streams stay one row per CP).
 func (s *System) cpTail() {
 	// Advance the tracer's modeled clock by the worker-invariant time this
 	// CP (and the client ops since the last one) accrued, then record the

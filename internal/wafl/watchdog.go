@@ -380,9 +380,10 @@ func (w *watchdogState) checkDFQueue(vol, gen string, d *delayedFrees) {
 	}
 }
 
-// runWatchdogs executes the per-CP monitors. Called at the end of
-// System.CP, after CommitCP has folded the pending deltas, so cached
-// scores are fresh except for the cursor-held AAs the checks skip.
+// runWatchdogs executes the per-CP monitors. Called from cpTail after
+// every committed generation, once Aggregate.CommitCP has folded its
+// sealed deltas, so cached scores are fresh except for the cursor-held AAs
+// the checks skip.
 func (s *System) runWatchdogs() {
 	w := &s.Agg.wd
 	if !w.enabled {

@@ -18,6 +18,10 @@ go vet ./...
 # dependencies), so the root vet does not see it: vet it here so an
 # internal API change that breaks the benchmark fails tier 1.
 (cd perfbench && go vet .)
+# Its tests pin the benchmark's own contracts: the observed workload's
+# modeled metrics equal the aged one's, modeled metrics are deterministic
+# across rounds, and the printed metrics match BENCHMARK.json (~40 s).
+(cd perfbench && go test .)
 go test ./...
 go test -race -short ./...
 
