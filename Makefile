@@ -6,7 +6,7 @@ SCALE ?= 1.0
 # `make bench-artifact` never clobbers a committed baseline by accident.
 BENCH ?= $(shell go run ./cmd/benchdiff -print-next)
 
-.PHONY: all build test verify bench benchpick bench-artifact bench-diff live slo trace pipeline control
+.PHONY: all build test verify loc bench benchpick bench-artifact bench-diff live slo trace pipeline control
 
 all: build
 
@@ -20,6 +20,14 @@ test:
 # bench-artifact smoke + benchdiff against the committed baseline.
 verify:
 	./verify.sh
+
+# Net production-Go line delta of the working tree against BASE, printed as
+# "+added -removed = net": *.go files other than *_test.go, outside the
+# benchmark module and its build directory. New files count once staged.
+BASE ?= HEAD
+loc:
+	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' ':!perfbench/' ':!.bench_build/' | \
+	    awk '{a += $$1; r += $$2} END {printf "+%d -%d = %+d\n", a, r, a - r}'
 
 # Full go-bench figure suite (see bench_test.go).
 bench:

@@ -40,6 +40,9 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"waflfs/internal/control"
+	"waflfs/internal/obs/slo"
 )
 
 type point struct {
@@ -67,29 +70,12 @@ type tsDoc struct {
 	} `json:"series"`
 }
 
-type sloDoc struct {
-	Totals struct {
-		Systems     int    `json:"systems"`
-		Instances   int    `json:"instances"`
-		Evaluations uint64 `json:"evaluations"`
-		Transitions uint64 `json:"transitions"`
-		Warns       uint64 `json:"warns"`
-		Pages       uint64 `json:"pages"`
-		ActiveWarns int    `json:"active_warns"`
-		ActivePages int    `json:"active_pages"`
-	} `json:"totals"`
-	Systems []struct {
-		System    string `json:"system"`
-		Instances []struct {
-			Name       string  `json:"name"`
-			Kind       string  `json:"kind"`
-			State      string  `json:"state"`
-			BurnFast   float64 `json:"burn_fast"`
-			BurnSlow   float64 `json:"burn_slow"`
-			BudgetUsed float64 `json:"budget_used"`
-		} `json:"instances"`
-	} `json:"systems"`
-}
+// The /debug/slo and /debug/control documents decode into the engines'
+// own status types.
+type (
+	sloDoc = slo.Doc
+	ctlDoc = control.Doc
+)
 
 type otSpan struct {
 	Name     string   `json:"name"`
@@ -114,48 +100,6 @@ type otDoc struct {
 			Spans  []otSpan `json:"spans"`
 		} `json:"traces"`
 	} `json:"spaces"`
-}
-
-type ctlDoc struct {
-	Totals struct {
-		Systems     int    `json:"systems"`
-		Instances   int    `json:"instances"`
-		Evaluations uint64 `json:"evaluations"`
-		Actuations  uint64 `json:"actuations"`
-		Suppressed  uint64 `json:"suppressed"`
-		Transitions uint64 `json:"transitions"`
-		ActiveArmed int    `json:"active_armed"`
-		ActiveActed int    `json:"active_acted"`
-	} `json:"totals"`
-	Systems []struct {
-		System     string `json:"system"`
-		Actuations uint64 `json:"actuations"`
-		Suppressed uint64 `json:"suppressed"`
-		Knobs      []struct {
-			Name  string  `json:"name"`
-			Value float64 `json:"value"`
-		} `json:"knobs"`
-		Instances []struct {
-			Name     string  `json:"name"`
-			Signal   string  `json:"signal"`
-			State    string  `json:"state"`
-			SinceCP  uint64  `json:"since_cp"`
-			Value    float64 `json:"value"`
-			Streak   int     `json:"streak"`
-			Flapping bool    `json:"flapping"`
-		} `json:"instances"`
-		Records []struct {
-			CP       uint64  `json:"cp"`
-			Instance string  `json:"instance"`
-			Signal   string  `json:"signal"`
-			Value    float64 `json:"value"`
-			Knob     string  `json:"knob"`
-			Old      float64 `json:"old"`
-			New      float64 `json:"new"`
-			Fired    bool    `json:"fired"`
-			Reason   string  `json:"reason"`
-		} `json:"records"`
-	} `json:"systems"`
 }
 
 type picksDoc struct {
@@ -348,13 +292,8 @@ func report(w *strings.Builder, ts tsDoc, pk picksDoc, sl sloDoc, haveSLO bool, 
 		fmt.Fprintf(w, "\nSLO portfolio — %d instances / %d systems, %d evaluations, %d warns, %d pages (active: %d warn, %d page)\n",
 			t.Instances, t.Systems, t.Evaluations, t.Warns, t.Pages, t.ActiveWarns, t.ActivePages)
 		type row struct {
-			sys  string
-			name string
-			kind string
-			st   string
-			bf   float64
-			bs   float64
-			bu   float64
+			sys string
+			in  slo.InstanceStatus
 		}
 		var rows []row
 		for _, sys := range sl.Systems {
@@ -362,7 +301,7 @@ func report(w *strings.Builder, ts tsDoc, pk picksDoc, sl sloDoc, haveSLO bool, 
 				if in.State == "page" {
 					paging++
 				}
-				rows = append(rows, row{sys.System, in.Name, in.Kind, in.State, in.BurnFast, in.BurnSlow, in.BudgetUsed})
+				rows = append(rows, row{sys.System, in})
 			}
 		}
 		rank := func(st string) int {
@@ -375,13 +314,13 @@ func report(w *strings.Builder, ts tsDoc, pk picksDoc, sl sloDoc, haveSLO bool, 
 			return 2
 		}
 		sort.Slice(rows, func(i, j int) bool {
-			if a, b := rank(rows[i].st), rank(rows[j].st); a != b {
+			if a, b := rank(rows[i].in.State), rank(rows[j].in.State); a != b {
 				return a < b
 			}
 			if rows[i].sys != rows[j].sys {
 				return rows[i].sys < rows[j].sys
 			}
-			return rows[i].name < rows[j].name
+			return rows[i].in.Name < rows[j].in.Name
 		})
 		fmt.Fprintf(w, "%-42s %-9s %-6s %9s %9s %8s  %s\n",
 			"system/instance", "kind", "state", "burn_fast", "burn_slow", "budget", "slow-burn trend")
@@ -391,15 +330,15 @@ func report(w *strings.Builder, ts tsDoc, pk picksDoc, sl sloDoc, haveSLO bool, 
 		}
 		for _, r := range shown {
 			mark := ""
-			if r.st == "page" {
+			if r.in.State == "page" {
 				mark = "  <-- PAGING"
 			}
 			fmt.Fprintf(w, "%-42s %-9s %-6s %9.2f %9.2f %8.3f  %s%s\n",
-				r.sys+"/"+r.name, r.kind, r.st, r.bf, r.bs, r.bu,
-				spark(bySeries[r.sys+".slo."+r.name+".burn_slow"], 16), mark)
+				r.sys+"/"+r.in.Name, r.in.Kind, r.in.State, r.in.BurnFast, r.in.BurnSlow, r.in.BudgetUsed,
+				spark(bySeries[r.sys+".slo."+r.in.Name+".burn_slow"], 16), mark)
 		}
 		if len(rows) > len(shown) {
-			fmt.Fprintf(w, "  … and %d more instances (all %s)\n", len(rows)-len(shown), shown[len(shown)-1].st)
+			fmt.Fprintf(w, "  … and %d more instances (all %s)\n", len(rows)-len(shown), shown[len(shown)-1].in.State)
 		}
 	}
 
@@ -461,10 +400,8 @@ func report(w *strings.Builder, ts tsDoc, pk picksDoc, sl sloDoc, haveSLO bool, 
 		fmt.Fprintf(w, "\ncontrol plane — %d policies / %d systems, %d evaluations, %d actuations, %d suppressed (active: %d armed, %d acted)\n",
 			t.Instances, t.Systems, t.Evaluations, t.Actuations, t.Suppressed, t.ActiveArmed, t.ActiveActed)
 		type crow struct {
-			sys, name, signal, st string
-			streak                int
-			val                   float64
-			flap                  bool
+			sys string
+			in  control.InstanceStatus
 		}
 		var rows []crow
 		for _, sys := range ct.Systems {
@@ -472,7 +409,7 @@ func report(w *strings.Builder, ts tsDoc, pk picksDoc, sl sloDoc, haveSLO bool, 
 				if in.Flapping {
 					flapping++
 				}
-				rows = append(rows, crow{sys.System, in.Name, in.Signal, in.State, in.Streak, in.Value, in.Flapping})
+				rows = append(rows, crow{sys.System, in})
 			}
 		}
 		rank := func(st string) int {
@@ -485,13 +422,13 @@ func report(w *strings.Builder, ts tsDoc, pk picksDoc, sl sloDoc, haveSLO bool, 
 			return 2
 		}
 		sort.Slice(rows, func(i, j int) bool {
-			if a, b := rank(rows[i].st), rank(rows[j].st); a != b {
+			if a, b := rank(rows[i].in.State), rank(rows[j].in.State); a != b {
 				return a < b
 			}
 			if rows[i].sys != rows[j].sys {
 				return rows[i].sys < rows[j].sys
 			}
-			return rows[i].name < rows[j].name
+			return rows[i].in.Name < rows[j].in.Name
 		})
 		fmt.Fprintf(w, "%-42s %-34s %-6s %6s %10s\n",
 			"system/policy", "signal", "state", "streak", "value")
@@ -501,14 +438,14 @@ func report(w *strings.Builder, ts tsDoc, pk picksDoc, sl sloDoc, haveSLO bool, 
 		}
 		for _, r := range shown {
 			mark := ""
-			if r.flap {
+			if r.in.Flapping {
 				mark = "  <-- FLAPPING"
 			}
 			fmt.Fprintf(w, "%-42s %-34s %-6s %6d %10.2f%s\n",
-				r.sys+"/"+r.name, r.signal, r.st, r.streak, r.val, mark)
+				r.sys+"/"+r.in.Name, r.in.Signal, r.in.State, r.in.Streak, r.in.Value, mark)
 		}
 		if len(rows) > len(shown) {
-			fmt.Fprintf(w, "  … and %d more policies (all %s)\n", len(rows)-len(shown), shown[len(shown)-1].st)
+			fmt.Fprintf(w, "  … and %d more policies (all %s)\n", len(rows)-len(shown), shown[len(shown)-1].in.State)
 		}
 
 		// Knob values per system, with the actuation-history sparkline drawn

@@ -1,22 +1,28 @@
 package control
 
 import (
+	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"waflfs/internal/obs/tsdb"
+	"waflfs/internal/rules"
 )
 
-// State is the actuation level of one policy instance, mirroring the SLO
-// engine's ok→warn→page machine: a breach arms the instance immediately,
-// Hold consecutive breaches fire the knob (acted), and Hold consecutive
-// calm evaluations step back down one level — so a signal oscillating
-// around its threshold cannot flap the knob every CP.
-type State int
+// actLevels names the controller's actuation levels.
+type actLevels struct{}
+
+func (actLevels) Names() [3]string { return [3]string{"ok", "armed", "acted"} }
+
+// State is the actuation level of one policy instance, on the SLO engine's
+// hysteresis machine (rules.Machine): a breach arms the instance
+// immediately, Hold consecutive breaches fire the knob (acted), and Hold
+// consecutive calm evaluations step back down one level — so a signal
+// oscillating around its threshold cannot flap the knob every CP.
+type State = rules.State[actLevels]
 
 const (
 	StateOK State = iota
@@ -24,22 +30,8 @@ const (
 	StateActed
 )
 
-func (s State) String() string {
-	switch s {
-	case StateArmed:
-		return "armed"
-	case StateActed:
-		return "acted"
-	default:
-		return "ok"
-	}
-}
-
-// MarshalJSON renders the state as its name so status documents read
-// "acted" instead of 2.
-func (s State) MarshalJSON() ([]byte, error) {
-	return []byte(strconv.Quote(s.String())), nil
-}
+// Transition is one actuation-level edge.
+type Transition = rules.Transition[actLevels]
 
 // KnobSpec is an Actuator's metadata for one knob: hard clamps and the
 // largest absolute change one actuation may apply. Policy min/max narrow
@@ -59,23 +51,6 @@ type Actuator interface {
 	Knobs() []KnobSpec
 	Knob(name string) (float64, bool)
 	SetKnob(name string, v float64) (float64, bool)
-}
-
-// ExemplarSource resolves a space name ("<sys>.vol.<name>") to a
-// representative trace, exactly as in the SLO engine; optrace's Recorder
-// implements it. Actuation records on volume-scoped signals then link
-// straight to a worst-op trace in /debug/optrace.
-type ExemplarSource interface {
-	Exemplar(space string) (id, latNS uint64, ok bool)
-}
-
-// Transition is one state-machine edge, stamped with the modeled clock.
-type Transition struct {
-	CP       uint64        `json:"cp"`
-	At       time.Duration `json:"at_ns"`
-	Instance string        `json:"instance"`
-	From     State         `json:"from"`
-	To       State         `json:"to"`
 }
 
 // ActuationRecord is the full provenance of one actuation decision —
@@ -101,12 +76,6 @@ type ActuationRecord struct {
 	ExemplarLatNS uint64 `json:"exemplar_lat_ns,omitempty"`
 }
 
-// maxTransitions and maxRecords bound the per-engine logs.
-const (
-	maxTransitions = 128
-	maxRecords     = 128
-)
-
 // flapWindow is how many trailing transitions of one instance must
 // alternate armed↔acted (with no ok between) to flag it as flapping.
 const flapWindow = 4
@@ -118,11 +87,8 @@ type instance struct {
 	series string // full series name under "<sys>."
 	space  string // "vol.<name>" when extractable from the signal; exemplar key
 
-	state  State
-	streak int // consecutive breach evals since the last fire/calm
-	calm   int // consecutive calm evals toward the next downgrade
-
-	sinceCP   uint64
+	rules.Machine[actLevels]
+	streak    int // consecutive breach evals since the last fire/calm
 	lastValue float64
 }
 
@@ -141,10 +107,10 @@ type Engine struct {
 	insts   []*instance
 	instKey int // store.NumSeries() at last expansion
 
-	evals, acts, suppr, trans uint64
-	translog                  []Transition
-	records                   []ActuationRecord
-	exem                      ExemplarSource
+	evals, acts, suppr uint64
+	translog           rules.Log[Transition]
+	records            rules.Log[ActuationRecord]
+	exem               rules.ExemplarSource
 	// knobCache is the knob values as of the last Evaluate. Status reads
 	// it instead of the live actuator so HTTP handlers never race the CP
 	// thread's knob mutations.
@@ -169,7 +135,7 @@ func NewEngine(sys string, pols []Policy, store *tsdb.Store, act Actuator) *Engi
 // SetExemplarSource wires a trace exemplar source: subsequent actuation
 // records on volume-scoped signals carry a representative trace ID.
 // Nil-safe.
-func (e *Engine) SetExemplarSource(src ExemplarSource) {
+func (e *Engine) SetExemplarSource(src rules.ExemplarSource) {
 	if e == nil {
 		return
 	}
@@ -249,8 +215,7 @@ func (e *Engine) expand() {
 			}
 			in := &instance{pol: pol, name: name, series: series, space: spaceOf(suffix)}
 			if prev, ok := old[in.name]; ok {
-				in.state, in.streak, in.calm = prev.state, prev.streak, prev.calm
-				in.sinceCP = prev.sinceCP
+				in.Machine, in.streak = prev.Machine, prev.streak
 			}
 			e.insts = append(e.insts, in)
 		}
@@ -292,12 +257,18 @@ func (e *Engine) evalInstance(in *instance, cp uint64, at time.Duration) {
 	in.lastValue = v
 	breach := (in.pol.Op == ">" && v > in.pol.Value) ||
 		(in.pol.Op == "<" && v < in.pol.Value)
+	// A breach desires at least armed; a calm evaluation desires one level
+	// down. The shared machine then arms at once and steps down only after
+	// Hold consecutive calm evaluations; acted is entered by actuate alone.
+	desired := max(in.State-1, StateOK)
 	if breach {
-		in.calm = 0
+		desired = max(in.State, StateArmed)
+	}
+	if in.Step(desired, in.pol.Hold) {
+		e.transition(in, cp, at, desired)
+	}
+	if breach {
 		in.streak++
-		if in.state == StateOK {
-			e.transition(in, cp, at, StateArmed)
-		}
 		if in.streak >= in.pol.Hold {
 			// The hold streak resets on every attempt, fired or suppressed,
 			// so re-fires are rate-limited to one per Hold breaches — the
@@ -307,18 +278,9 @@ func (e *Engine) evalInstance(in *instance, cp uint64, at time.Duration) {
 		}
 	} else {
 		in.streak = 0
-		if in.state != StateOK {
-			in.calm++
-			if in.calm >= in.pol.Hold {
-				e.transition(in, cp, at, in.state-1)
-				in.calm = 0
-			}
-		} else {
-			in.calm = 0
-		}
 	}
 	base := e.sys + ".control." + in.name
-	e.store.Observe(base+".state", cp, at, float64(in.state))
+	e.store.Observe(base+".state", cp, at, float64(in.State))
 	e.store.Observe(base+".signal", cp, at, v)
 }
 
@@ -341,11 +303,7 @@ func (e *Engine) actuate(in *instance, cp uint64, at time.Duration, v float64) {
 		CP: cp, At: at, Policy: in.pol.String(), Instance: in.name,
 		Signal: in.series, Value: v, Knob: in.pol.Action,
 	}
-	if e.exem != nil && in.space != "" {
-		if id, lat, ok := e.exem.Exemplar(e.sys + "." + in.space); ok {
-			rec.ExemplarTrace, rec.ExemplarLatNS = id, lat
-		}
-	}
+	rec.ExemplarTrace, rec.ExemplarLatNS = rules.Exemplar(e.exem, e.sys, in.space)
 	old, ok := e.act.Knob(in.pol.Action)
 	if !ok {
 		rec.Reason = "no_knob"
@@ -389,44 +347,28 @@ func (e *Engine) actuate(in *instance, cp uint64, at time.Duration, v float64) {
 	}
 	rec.New, rec.Fired, rec.Reason = applied, true, "applied"
 	e.acts++
-	e.pushRecord(rec)
-	if in.state != StateActed {
+	e.records.Add(rec)
+	if in.State != StateActed {
 		e.transition(in, cp, at, StateActed)
 	}
 }
 
 func (e *Engine) suppress(rec ActuationRecord) {
 	e.suppr++
-	e.pushRecord(rec)
-}
-
-func (e *Engine) pushRecord(rec ActuationRecord) {
-	if len(e.records) >= maxRecords {
-		copy(e.records, e.records[1:])
-		e.records = e.records[:maxRecords-1]
-	}
-	e.records = append(e.records, rec)
+	e.records.Add(rec)
 }
 
 func (e *Engine) transition(in *instance, cp uint64, at time.Duration, to State) {
-	tr := Transition{CP: cp, At: at, Instance: in.name, From: in.state, To: to}
-	if len(e.translog) >= maxTransitions {
-		copy(e.translog, e.translog[1:])
-		e.translog = e.translog[:maxTransitions-1]
-	}
-	e.translog = append(e.translog, tr)
-	e.trans++
-	in.state = to
-	in.sinceCP = cp
+	e.translog.Add(in.Move(in.name, cp, at, to))
 }
 
 // flapping reports whether an instance's trailing transitions alternate
 // armed↔acted with no ok between — the signature of a knob-chasing
 // oscillation the hysteresis failed to damp (wafltop -snapshot exits
 // nonzero on it).
-func (e *Engine) flapping(name string) bool {
+func flapping(log []Transition, name string) bool {
 	var tos []State
-	for _, tr := range e.translog {
+	for _, tr := range log {
 		if tr.Instance == name {
 			tos = append(tos, tr.To)
 		}
@@ -451,7 +393,9 @@ func (e *Engine) flapping(name string) bool {
 func (e *Engine) Evaluations() uint64 { return e.counter(func(e *Engine) uint64 { return e.evals }) }
 func (e *Engine) Actuations() uint64  { return e.counter(func(e *Engine) uint64 { return e.acts }) }
 func (e *Engine) Suppressed() uint64  { return e.counter(func(e *Engine) uint64 { return e.suppr }) }
-func (e *Engine) Transitions() uint64 { return e.counter(func(e *Engine) uint64 { return e.trans }) }
+func (e *Engine) Transitions() uint64 {
+	return e.counter(func(e *Engine) uint64 { return e.translog.Added() })
+}
 
 func (e *Engine) counter(f func(*Engine) uint64) uint64 {
 	if e == nil {
@@ -514,17 +458,97 @@ func (e *Engine) Status() SystemStatus {
 		Evaluations: e.evals,
 		Actuations:  e.acts,
 		Suppressed:  e.suppr,
-		Records:     append([]ActuationRecord(nil), e.records...),
-		Transitions: append([]Transition(nil), e.translog...),
+		Records:     e.records.Entries(),
+		Transitions: e.translog.Entries(),
 	}
 	st.Knobs = append(st.Knobs, e.knobCache...)
 	for _, in := range e.insts {
 		st.Instances = append(st.Instances, InstanceStatus{
 			Name: in.name, Policy: in.pol.Name, Signal: in.series,
-			State: in.state.String(), SinceCP: in.sinceCP,
+			State: in.State.String(), SinceCP: in.SinceCP,
 			Value: in.lastValue, Streak: in.streak,
-			Flapping: e.flapping(in.name),
+			Flapping: flapping(st.Transitions, in.name),
 		})
 	}
 	return st
 }
+
+// Totals aggregates actuation activity across a Set's engines.
+type Totals struct {
+	Systems     int    `json:"systems"`
+	Instances   int    `json:"instances"`
+	Evaluations uint64 `json:"evaluations"`
+	Actuations  uint64 `json:"actuations"`
+	Suppressed  uint64 `json:"suppressed"`
+	Transitions uint64 `json:"transitions"`
+	ActiveArmed int    `json:"active_armed"`
+	ActiveActed int    `json:"active_acted"`
+}
+
+// Tally adds the engine's actuation activity to t.
+func (e *Engine) Tally(t *Totals) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t.Systems++
+	t.Instances += len(e.insts)
+	t.Evaluations += e.evals
+	t.Actuations += e.acts
+	t.Suppressed += e.suppr
+	t.Transitions += e.translog.Added()
+	for _, in := range e.insts {
+		switch in.State {
+		case StateArmed:
+			t.ActiveArmed++
+		case StateActed:
+			t.ActiveActed++
+		}
+	}
+}
+
+// Doc is the /debug/control document.
+type Doc = rules.Doc[SystemStatus, Totals]
+
+// Set holds one policy portfolio and its engines, one per system (arm), in
+// a rules.Set: see there for the re-arm rule, the totals, and the status
+// document. All methods are nil-safe.
+type Set struct {
+	pols []Policy
+	set  rules.Set[*Engine, SystemStatus, Totals]
+}
+
+// NewSet builds a set from a portfolio; nil for an empty one.
+func NewSet(pols []Policy) *Set {
+	if len(pols) == 0 {
+		return nil
+	}
+	return &Set{pols: append([]Policy(nil), pols...)}
+}
+
+// Engine returns the engine for sys over store (see rules.Set.Bind),
+// actuating act. An engine kept across a re-arm is rebound to act, so its
+// instance state and logs survive while actuation lands on the live knobs.
+func (s *Set) Engine(sys string, store *tsdb.Store, act Actuator) *Engine {
+	if s == nil || store == nil || act == nil {
+		return nil
+	}
+	e, reused := s.set.Bind(sys, store, NewEngine(sys, s.pols, store, act))
+	if reused {
+		e.setActuator(act)
+	}
+	return e
+}
+
+func (s *Set) core() *rules.Set[*Engine, SystemStatus, Totals] {
+	if s == nil {
+		return nil
+	}
+	return &s.set
+}
+
+// Totals, TotalsWhere, Status, and WriteJSON (the /debug/control
+// document) are the rules.Set's, made nil-safe.
+
+func (s *Set) Totals() Totals                                 { return s.core().Totals() }
+func (s *Set) TotalsWhere(match func(sys string) bool) Totals { return s.core().TotalsWhere(match) }
+func (s *Set) Status() []SystemStatus                         { return s.core().Status() }
+func (s *Set) WriteJSON(w io.Writer) error                    { return s.core().WriteJSON(w) }

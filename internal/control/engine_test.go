@@ -305,6 +305,18 @@ func TestSetTotalsAndWriteJSON(t *testing.T) {
 	if buf.String() != buf2.String() {
 		t.Fatal("WriteJSON not deterministic")
 	}
+	// Re-arming on a different store replaces the engine in the system's
+	// existing slot: no new system, and "a" now reports a fresh engine.
+	ea2 := set.Engine("a", testStore(), newFakeActuator())
+	if ea2 == nil || ea2 == ea {
+		t.Fatal("re-arm on a different store kept the old engine")
+	}
+	if st := set.Status(); len(st) != 2 || st[0].System != "a" || st[0].Evaluations != 0 {
+		t.Fatalf("status after replacement: %+v", st)
+	}
+	if tot := set.Totals(); tot.Systems != 2 || tot.Evaluations != eb.Evaluations() {
+		t.Fatalf("totals after replacement: %+v", tot)
+	}
 	// Nil set still writes a valid document.
 	var nilBuf bytes.Buffer
 	if err := (*Set)(nil).WriteJSON(&nilBuf); err != nil {

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"waflfs/internal/obs/tsdb"
+	"waflfs/internal/rules"
 )
 
 // Knob names the controller may actuate. The Actuator implementation
@@ -202,48 +203,13 @@ func DefaultPolicies() []Policy {
 //
 // Policy names must be unique across the whole string.
 func ParsePolicies(input string) ([]Policy, error) {
-	var out []Policy
-	for _, clause := range strings.Split(input, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		if clause == "default" {
-			out = append(out, DefaultPolicies()...)
-			continue
-		}
-		p, err := parseClause(clause)
-		if err != nil {
-			return nil, fmt.Errorf("control: clause %q: %w", clause, err)
-		}
-		out = append(out, p)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("control: empty policy")
-	}
-	seen := make(map[string]bool, len(out))
-	for _, p := range out {
-		if seen[p.Name] {
-			return nil, fmt.Errorf("control: duplicate policy name %q", p.Name)
-		}
-		seen[p.Name] = true
-	}
-	return out, nil
+	return rules.ParseList(input, "control", "policy", DefaultPolicies, parseClause,
+		func(p Policy) string { return p.Name })
 }
 
 func parseClause(clause string) (Policy, error) {
 	var p Policy
-	for _, field := range strings.Split(clause, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return p, fmt.Errorf("field %q is not key=value", field)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
+	err := rules.Fields(clause, func(key, val string) (err error) {
 		switch key {
 		case "name":
 			p.Name = val
@@ -264,17 +230,15 @@ func parseClause(clause string) (Policy, error) {
 		case "max":
 			p.Max, err = strconv.ParseFloat(val, 64)
 		default:
-			return p, fmt.Errorf("unknown key %q", key)
+			err = rules.ErrUnknownKey
 		}
-		if err != nil {
-			return p, fmt.Errorf("field %q: %w", field, err)
-		}
-	}
-	p.normalize()
-	if err := p.validate(); err != nil {
+		return err
+	})
+	if err != nil {
 		return p, err
 	}
-	return p, nil
+	p.normalize()
+	return p, p.validate()
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -22,10 +22,12 @@ package faultinject
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"waflfs/internal/rules"
 )
 
 // Named CP phases, in execution order. Each wafl CP boundary calls
@@ -159,31 +161,14 @@ type Plan struct {
 
 // ParsePlan parses the waflbench -faults spec: comma-separated key=value
 // pairs, e.g. "phase=topaa_groups,fault=torn,cp=2,seed=7,target=rg0,
-// devreaderr=100". Every key is optional.
+// devreaderr=100". Every key is optional; on error the Plan is zero.
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
-	if spec == "" {
-		return p, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return p, fmt.Errorf("faultinject: bad plan element %q (want key=value)", part)
-		}
-		key, val := kv[0], kv[1]
-		var err error
+	err := rules.Fields(spec, func(key, val string) (err error) {
 		switch key {
 		case "phase":
-			found := false
-			for _, ph := range append(CPPhases(), OverlapPhases()...) {
-				if ph == val {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return p, fmt.Errorf("faultinject: unknown phase %q (have %v and %v)",
-					val, CPPhases(), OverlapPhases())
+			if !slices.Contains(append(CPPhases(), OverlapPhases()...), val) {
+				return fmt.Errorf("unknown phase %q (have %v and %v)", val, CPPhases(), OverlapPhases())
 			}
 			p.CrashPhase = val
 		case "fault":
@@ -197,11 +182,12 @@ func ParsePlan(spec string) (Plan, error) {
 		case "devreaderr":
 			p.DeviceReadErrEvery, err = strconv.ParseUint(val, 10, 64)
 		default:
-			return p, fmt.Errorf("faultinject: unknown plan key %q", key)
+			err = rules.ErrUnknownKey
 		}
-		if err != nil {
-			return p, fmt.Errorf("faultinject: plan %s=%s: %v", key, val, err)
-		}
+		return err
+	})
+	if err != nil {
+		return Plan{}, fmt.Errorf("faultinject: %w", err)
 	}
 	return p, nil
 }

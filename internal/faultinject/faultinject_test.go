@@ -38,6 +38,21 @@ func TestParsePlan(t *testing.T) {
 	if err != nil || empty != (Plan{}) {
 		t.Fatalf("empty spec = %+v, %v", empty, err)
 	}
+	// The shared clause grammar: empty fields are skipped and keys and
+	// values are trimmed, as in every other spec flag.
+	for spec, want := range map[string]Plan{
+		"cp=2,":        {CrashCP: 2},
+		"cp=2,,seed=7": {CrashCP: 2, Seed: 7},
+		"cp = 2":       {CrashCP: 2},
+	} {
+		if p, err := ParsePlan(spec); err != nil || p != want {
+			t.Errorf("ParsePlan(%q) = %+v, %v; want %+v", spec, p, err, want)
+		}
+	}
+	// A rejected spec yields no half-filled plan.
+	if p, err := ParsePlan("cp=2,fault=bogus"); err == nil || p != (Plan{}) {
+		t.Fatalf("rejected spec = %+v, %v; want zero plan and an error", p, err)
+	}
 }
 
 func TestKindRoundTrip(t *testing.T) {

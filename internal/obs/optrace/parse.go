@@ -1,10 +1,13 @@
 package optrace
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"time"
+
+	"waflfs/internal/rules"
 )
 
 // FormatTraceID renders a trace ID the way every surface prints it:
@@ -44,44 +47,39 @@ func ParseConfig(spec string) (Config, error) {
 	if spec == "" || spec == "default" {
 		return cfg, nil
 	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("optrace: bad spec element %q (want key=value)", part)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
+	err := rules.Fields(spec, func(key, val string) error {
 		switch key {
 		case "rate":
 			n, err := strconv.Atoi(val)
 			if err != nil || n <= 0 {
-				return Config{}, fmt.Errorf("optrace: bad rate %q (want positive integer)", val)
+				return errors.New("want a positive integer")
 			}
 			cfg.Rate = n
 		case "slow":
 			d, err := time.ParseDuration(val)
 			if err != nil || d <= 0 {
-				return Config{}, fmt.Errorf("optrace: bad slow threshold %q (want positive duration)", val)
+				return errors.New("want a positive duration")
 			}
 			cfg.SlowNS = uint64(d)
 		case "cap":
 			n, err := strconv.Atoi(val)
 			if err != nil || n <= 0 {
-				return Config{}, fmt.Errorf("optrace: bad cap %q (want positive integer)", val)
+				return errors.New("want a positive integer")
 			}
 			cfg.Capacity = n
 		case "seed":
 			n, err := strconv.ParseInt(val, 10, 64)
 			if err != nil {
-				return Config{}, fmt.Errorf("optrace: bad seed %q (want integer)", val)
+				return err
 			}
 			cfg.Seed = n
 		default:
-			return Config{}, fmt.Errorf("optrace: unknown spec key %q", key)
+			return rules.ErrUnknownKey
 		}
+		return nil
+	})
+	if err != nil {
+		return Config{}, fmt.Errorf("optrace: %w", err)
 	}
 	return cfg, nil
 }

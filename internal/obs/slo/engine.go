@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -9,10 +10,16 @@ import (
 
 	"waflfs/internal/obs"
 	"waflfs/internal/obs/tsdb"
+	"waflfs/internal/rules"
 )
 
+// alertLevels names the SLO alert levels.
+type alertLevels struct{}
+
+func (alertLevels) Names() [3]string { return [3]string{"ok", "warn", "page"} }
+
 // State is the alert level of one SLO instance.
-type State int
+type State = rules.State[alertLevels]
 
 const (
 	StateOK State = iota
@@ -20,47 +27,8 @@ const (
 	StatePage
 )
 
-func (s State) String() string {
-	switch s {
-	case StateWarn:
-		return "warn"
-	case StatePage:
-		return "page"
-	default:
-		return "ok"
-	}
-}
-
-// MarshalJSON renders the state as its name so status documents read
-// "page" instead of 2.
-func (s State) MarshalJSON() ([]byte, error) {
-	return []byte(strconv.Quote(s.String())), nil
-}
-
-// Transition is one state-machine edge, stamped with the modeled clock.
-type Transition struct {
-	CP       uint64        `json:"cp"`
-	At       time.Duration `json:"at_ns"`
-	Instance string        `json:"instance"`
-	From     State         `json:"from"`
-	To       State         `json:"to"`
-	// ExemplarTrace/ExemplarLatNS reference a representative sampled op
-	// trace from the instance's space (the worst-bucket exemplar at
-	// transition time), when an ExemplarSource is wired; 0 otherwise. A page
-	// in /debug/slo then links directly to a trace in /debug/optrace.
-	ExemplarTrace uint64 `json:"exemplar_trace,omitempty"`
-	ExemplarLatNS uint64 `json:"exemplar_lat_ns,omitempty"`
-}
-
-// ExemplarSource resolves a space name ("<sys>.vol.<name>") to a
-// representative trace: ID and modeled latency of the space's current
-// worst-bucket sampled op. internal/obs/optrace's Recorder implements it.
-type ExemplarSource interface {
-	Exemplar(space string) (id, latNS uint64, ok bool)
-}
-
-// maxTransitions bounds the per-engine transition log.
-const maxTransitions = 128
+// Transition is one alert edge; space-scoped instances link an exemplar.
+type Transition = rules.Transition[alertLevels]
 
 // mark records one past evaluation point: windows are anchored to the
 // newest mark at least a window-width of modeled time in the past, so a
@@ -84,9 +52,7 @@ type instance struct {
 	latBase     string // latency: "<sys>.<space>.lat_ns"
 	bounds      []uint64
 
-	state   State
-	below   int // consecutive evals desiring a lower state
-	sinceCP uint64
+	rules.Machine[alertLevels]
 
 	burnFast, burnSlow float64
 	budgetUsed         float64
@@ -109,14 +75,14 @@ type Engine struct {
 	insts   []*instance
 	instKey int // store.NumSeries() at last expansion
 
-	evals, warns, pages, trans uint64
-	translog                   []Transition
-	exem                       ExemplarSource
+	evals, warns, pages uint64
+	translog            rules.Log[Transition]
+	exem                rules.ExemplarSource
 }
 
 // SetExemplarSource wires a trace exemplar source: subsequent transitions
 // on space-scoped instances carry a representative trace ID. Nil-safe.
-func (e *Engine) SetExemplarSource(src ExemplarSource) {
+func (e *Engine) SetExemplarSource(src rules.ExemplarSource) {
 	if e == nil {
 		return
 	}
@@ -165,7 +131,7 @@ func (e *Engine) expand() {
 	e.insts = e.insts[:0]
 	add := func(in *instance) {
 		if prev, ok := old[in.name]; ok {
-			in.state, in.below, in.sinceCP = prev.state, prev.below, prev.sinceCP
+			in.Machine = prev.Machine
 		}
 		e.insts = append(e.insts, in)
 	}
@@ -387,25 +353,12 @@ func (e *Engine) evalInstance(in *instance, cp uint64, at time.Duration) {
 		desired = StateWarn
 	}
 
-	// Upgrades are immediate; downgrades wait for Hold consecutive calm
-	// evaluations so a burn rate oscillating around the threshold cannot
-	// flap the alert.
-	switch {
-	case desired > in.state:
+	if in.Step(desired, sp.Hold) {
 		e.transition(in, cp, at, desired)
-		in.below = 0
-	case desired < in.state:
-		in.below++
-		if in.below >= sp.Hold {
-			e.transition(in, cp, at, desired)
-			in.below = 0
-		}
-	default:
-		in.below = 0
 	}
 
 	base := e.sys + ".slo." + in.name
-	e.store.Observe(base+".state", cp, at, float64(in.state))
+	e.store.Observe(base+".state", cp, at, float64(in.State))
 	e.store.Observe(base+".burn_fast", cp, at, in.burnFast)
 	e.store.Observe(base+".burn_slow", cp, at, in.burnSlow)
 	e.store.Observe(base+".budget_used", cp, at, in.budgetUsed)
@@ -444,26 +397,15 @@ func (e *Engine) windowQuantile(in *instance, cp uint64, at time.Duration) float
 }
 
 func (e *Engine) transition(in *instance, cp uint64, at time.Duration, to State) {
-	tr := Transition{CP: cp, At: at, Instance: in.name, From: in.state, To: to}
-	if e.exem != nil && in.space != "" {
-		if id, lat, ok := e.exem.Exemplar(e.sys + "." + in.space); ok {
-			tr.ExemplarTrace, tr.ExemplarLatNS = id, lat
-		}
-	}
-	if len(e.translog) >= maxTransitions {
-		copy(e.translog, e.translog[1:])
-		e.translog = e.translog[:maxTransitions-1]
-	}
-	e.translog = append(e.translog, tr)
-	e.trans++
+	tr := in.Move(in.name, cp, at, to)
+	tr.ExemplarTrace, tr.ExemplarLatNS = rules.Exemplar(e.exem, e.sys, in.space)
+	e.translog.Add(tr)
 	switch to {
 	case StateWarn:
 		e.warns++
 	case StatePage:
 		e.pages++
 	}
-	in.state = to
-	in.sinceCP = cp
 }
 
 // Counter accessors feed the slo.* registry metrics; all nil-safe.
@@ -471,7 +413,9 @@ func (e *Engine) transition(in *instance, cp uint64, at time.Duration, to State)
 func (e *Engine) Evaluations() uint64 { return e.counter(func(e *Engine) uint64 { return e.evals }) }
 func (e *Engine) Warns() uint64       { return e.counter(func(e *Engine) uint64 { return e.warns }) }
 func (e *Engine) Pages() uint64       { return e.counter(func(e *Engine) uint64 { return e.pages }) }
-func (e *Engine) Transitions() uint64 { return e.counter(func(e *Engine) uint64 { return e.trans }) }
+func (e *Engine) Transitions() uint64 {
+	return e.counter(func(e *Engine) uint64 { return e.translog.Added() })
+}
 
 func (e *Engine) counter(f func(*Engine) uint64) uint64 {
 	if e == nil {
@@ -489,8 +433,12 @@ func (e *Engine) Active() (warns, pages int) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.active()
+}
+
+func (e *Engine) active() (warns, pages int) {
 	for _, in := range e.insts {
-		switch in.state {
+		switch in.State {
 		case StateWarn:
 			warns++
 		case StatePage:
@@ -539,22 +487,87 @@ func (e *Engine) Status() SystemStatus {
 		Evaluations: e.evals,
 		Warns:       e.warns,
 		Pages:       e.pages,
-		Transitions: append([]Transition(nil), e.translog...),
+		Transitions: e.translog.Entries(),
 	}
+	st.ActiveWarns, st.ActivePages = e.active()
 	for _, in := range e.insts {
 		st.Instances = append(st.Instances, InstanceStatus{
-			Name: in.name, Kind: string(in.spec.Kind), State: in.state.String(),
-			SinceCP: in.sinceCP, Target: in.spec.Target,
+			Name: in.name, Kind: string(in.spec.Kind), State: in.State.String(),
+			SinceCP: in.SinceCP, Target: in.spec.Target,
 			BurnFast: in.burnFast, BurnSlow: in.burnSlow,
 			BudgetUsed: in.budgetUsed,
 			WindowBad:  in.winBad, WindowTotal: in.winTotal, PNs: in.pNs,
 		})
-		switch in.state {
-		case StateWarn:
-			st.ActiveWarns++
-		case StatePage:
-			st.ActivePages++
-		}
 	}
 	return st
 }
+
+// Totals aggregates alert activity across a Set's engines.
+type Totals struct {
+	Systems     int    `json:"systems"`
+	Instances   int    `json:"instances"`
+	Evaluations uint64 `json:"evaluations"`
+	Transitions uint64 `json:"transitions"`
+	Warns       uint64 `json:"warns"`
+	Pages       uint64 `json:"pages"`
+	ActiveWarns int    `json:"active_warns"`
+	ActivePages int    `json:"active_pages"`
+}
+
+// Tally adds the engine's alert activity to t.
+func (e *Engine) Tally(t *Totals) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	warns, pages := e.active()
+	t.Systems++
+	t.Instances += len(e.insts)
+	t.Evaluations += e.evals
+	t.Transitions += e.translog.Added()
+	t.Warns += e.warns
+	t.Pages += e.pages
+	t.ActiveWarns += warns
+	t.ActivePages += pages
+}
+
+// Doc is the /debug/slo document.
+type Doc = rules.Doc[SystemStatus, Totals]
+
+// Set holds one spec portfolio and its engines, one per system (arm), in a
+// rules.Set: see there for the re-arm rule, the totals, and the status
+// document. All methods are nil-safe.
+type Set struct {
+	specs []Spec
+	set   rules.Set[*Engine, SystemStatus, Totals]
+}
+
+// NewSet builds a set from a portfolio; nil for an empty one.
+func NewSet(specs []Spec) *Set {
+	if len(specs) == 0 {
+		return nil
+	}
+	return &Set{specs: append([]Spec(nil), specs...)}
+}
+
+// Engine returns the engine for sys over store (see rules.Set.Bind).
+func (s *Set) Engine(sys string, store *tsdb.Store) *Engine {
+	if s == nil || store == nil {
+		return nil
+	}
+	e, _ := s.set.Bind(sys, store, NewEngine(sys, s.specs, store))
+	return e
+}
+
+func (s *Set) core() *rules.Set[*Engine, SystemStatus, Totals] {
+	if s == nil {
+		return nil
+	}
+	return &s.set
+}
+
+// Totals, TotalsWhere, Status, and WriteJSON (the /debug/slo document) are
+// the rules.Set's, made nil-safe.
+
+func (s *Set) Totals() Totals                                 { return s.core().Totals() }
+func (s *Set) TotalsWhere(match func(sys string) bool) Totals { return s.core().TotalsWhere(match) }
+func (s *Set) Status() []SystemStatus                         { return s.core().Status() }
+func (s *Set) WriteJSON(w io.Writer) error                    { return s.core().WriteJSON(w) }

@@ -318,7 +318,7 @@ func TestNilSafety(t *testing.T) {
 	if s.Engine("x", tsdb.NewStore(tsdb.Config{Capacity: 4})) != nil {
 		t.Fatal("nil set produced engine")
 	}
-	if s.Totals() != (Totals{}) || s.Status() != nil || s.Specs() != nil {
+	if s.Totals() != (Totals{}) || s.Status() != nil {
 		t.Fatal("nil set leaked state")
 	}
 	var buf bytes.Buffer

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"waflfs/internal/obs/tsdb"
+	"waflfs/internal/rules"
 )
 
 // Kind selects the SLI a spec measures.
@@ -209,48 +210,13 @@ func (s *Spec) validate() error {
 // Window values are "<burn>@<fast>/<slow>" with Go durations in modeled
 // time. Spec names must be unique across the whole string.
 func ParseSpecs(input string) ([]Spec, error) {
-	var out []Spec
-	for _, clause := range strings.Split(input, ";") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
-			continue
-		}
-		if clause == "default" {
-			out = append(out, DefaultSpecs()...)
-			continue
-		}
-		sp, err := parseClause(clause)
-		if err != nil {
-			return nil, fmt.Errorf("slo: clause %q: %w", clause, err)
-		}
-		out = append(out, sp)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("slo: empty spec")
-	}
-	seen := make(map[string]bool, len(out))
-	for _, sp := range out {
-		if seen[sp.Name] {
-			return nil, fmt.Errorf("slo: duplicate spec name %q", sp.Name)
-		}
-		seen[sp.Name] = true
-	}
-	return out, nil
+	return rules.ParseList(input, "slo", "spec", DefaultSpecs, parseClause,
+		func(sp Spec) string { return sp.Name })
 }
 
 func parseClause(clause string) (Spec, error) {
 	var sp Spec
-	for _, field := range strings.Split(clause, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return sp, fmt.Errorf("field %q is not key=value", field)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		var err error
+	err := rules.Fields(clause, func(key, val string) (err error) {
 		switch key {
 		case "name":
 			sp.Name = val
@@ -275,17 +241,15 @@ func parseClause(clause string) (Spec, error) {
 		case "total":
 			sp.Total = val
 		default:
-			return sp, fmt.Errorf("unknown key %q", key)
+			err = rules.ErrUnknownKey
 		}
-		if err != nil {
-			return sp, fmt.Errorf("field %q: %w", field, err)
-		}
-	}
-	sp.normalize()
-	if err := sp.validate(); err != nil {
+		return err
+	})
+	if err != nil {
 		return sp, err
 	}
-	return sp, nil
+	sp.normalize()
+	return sp, sp.validate()
 }
 
 func parseWindow(v string) (Window, error) {

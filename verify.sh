@@ -6,7 +6,10 @@
 # every concurrency-bearing code path still executes under the detector.
 set -eux
 
-fmt=$(gofmt -l cmd internal)
+# Every tracked Go file: the root package, cmd/, internal/, examples/, and
+# the benchmark module alike.
+files=$(git ls-files '*.go')
+fmt=$(gofmt -l $files)
 if [ -n "$fmt" ]; then
     echo "gofmt needed on: $fmt" >&2
     exit 1
